@@ -154,7 +154,21 @@ def cmd_decrease(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_threshold(args) -> tuple[dict, list[dict]]:
-    report = stems.threshold_search(args.m, args.n_max)
+    comparisons, rows = [], []
+    for point in stems.mean_sweep(args.m, args.n_max):
+        sign = point.sign
+        comparisons.append((point.n, sign))
+        if args.full_table:
+            ms, mb = point.mean("split"), point.mean("bipartite")
+            rows.append({
+                "n": point.n,
+                "sign": sign,
+                "mu_split": _rat(ms),
+                "mu_bipartite": _rat(mb),
+                "mu_split_decimal": _decimal_str(ms),
+                "mu_bipartite_decimal": _decimal_str(mb),
+            })
+    report = stems.ThresholdReport.from_comparisons(args.m, args.n_max, comparisons)
     results = {
         "n_star": report.n_star if report.n_star is not None else "no crossing",
         "persists": report.persists,
@@ -165,19 +179,6 @@ def cmd_threshold(args) -> tuple[dict, list[dict]]:
         mb = stems.graph_mean_order("bipartite", args.m, report.n_star)
         results["mu_split_at_n_star"] = _rat(ms)
         results["mu_bipartite_at_n_star"] = _rat(mb)
-    rows = []
-    if args.full_table:
-        for n, sign in report.comparisons:
-            ms = stems.graph_mean_order("split", args.m, n)
-            mb = stems.graph_mean_order("bipartite", args.m, n)
-            rows.append({
-                "n": n,
-                "sign": sign,
-                "mu_split": _rat(ms),
-                "mu_bipartite": _rat(mb),
-                "mu_split_decimal": _decimal_str(ms),
-                "mu_bipartite_decimal": _decimal_str(mb),
-            })
     record = {
         "command": "threshold",
         "parameters": {"m": args.m, "n_max": args.n_max},
@@ -268,6 +269,14 @@ def cmd_stem_table(args) -> tuple[dict, list[dict]]:
 
 # ---------------------------------------------------------------------------
 
+def _jobs_value(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--jobs / CENSUS_JOBS must be an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subtree-census",
@@ -275,8 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timing field")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("CENSUS_JOBS", "1")),
+    # a string default goes through `type` too, so a malformed CENSUS_JOBS
+    # is a usage error (exit 2) like a malformed --jobs
+    parser.add_argument("--jobs", type=_jobs_value,
+                        default=os.environ.get("CENSUS_JOBS", "1"),
                         help="worker processes for scans (env CENSUS_JOBS)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -10,6 +10,7 @@ is closed-form in n, so n may be large while m stays small.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -183,6 +184,45 @@ def class_mean_order(n: int, a: int, b: int) -> Fraction:
     return Fraction((n - b) * a, a + 1) + a + b
 
 
+def _check_grid(m: int, n: int, exponent_cap: int = EXPONENT_CAP) -> None:
+    """Raise before any enumeration when the hosts at (m, n) are out of reach;
+    every check is monotone in n, so passing at n covers all smaller n."""
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    if n.bit_length() > 64 or (n * (m + 1).bit_length()) > exponent_cap:
+        raise TooLargeError("(a+1)**(n-b) would exceed the exponent cap")
+    for a in range(1, m + 1):
+        _check_class(a, min(a - 1, n))
+
+
+def _classes(m: int, n: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(1, m + 1) for b in range(0, min(a - 1, n) + 1)]
+
+
+def _weights(variant: str, m: int, classes: list[tuple[int, int]]) -> list[int]:
+    """C(m, a) * stem_count: the factor by which the variants' class sizes
+    differ; the shared factor is C(n, b) * (a+1)**(n-b)."""
+    return [comb(m, a) * stem_count(variant, a, b) for a, b in classes]
+
+
+def _host_totals(classes: list[tuple[int, int]], weights: list[int],
+                 shared: list[int], n: int, lcm: int) -> tuple[int, int]:
+    """(lcm * total subtree order, subtree count) of one host at n.
+
+    `shared[i]` is C(n, b) * (a+1)**(n-b) for class i, zero while b > n.
+    The class mean (n-b)*a/(a+1) + a + b is put over the common denominator
+    `lcm`, a multiple of every a+1, so everything stays an integer; the n
+    single-B-vertex subtrees add order 1 each.
+    """
+    total = count = 0
+    for (a, b), w, q in zip(classes, weights, shared):
+        if w:
+            size = w * q
+            count += size
+            total += size * ((n - b) * a * (lcm // (a + 1)) + (a + b) * lcm)
+    return total + n * lcm, count + n
+
+
 def graph_mean_order(variant: str, m: int, n: int,
                      exponent_cap: int = EXPONENT_CAP) -> Fraction:
     """Exact mean subtree order of the complete split graph (variant
@@ -190,26 +230,59 @@ def graph_mean_order(variant: str, m: int, n: int,
     assembled from the stem classes plus the n single-B-vertex subtrees."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    if n.bit_length() > 64 or (n * (m + 1).bit_length()) > exponent_cap:
-        raise TooLargeError("(a+1)**(n-b) would exceed the exponent cap")
-    # fail fast on an infeasible class grid before any enumeration runs
-    for a in range(1, m + 1):
-        _check_class(a, min(a - 1, n))
-    num = Fraction(0)
-    den = 0
-    for a in range(1, m + 1):
-        for b in range(0, min(a - 1, n) + 1):
-            f = stem_count(variant, a, b)
-            if f == 0:
-                continue
-            size = comb(m, a) * comb(n, b) * f * (a + 1) ** (n - b)
-            num += class_mean_order(n, a, b) * size
-            den += size
-    num += n  # single-B-vertex subtrees, order 1 each
-    den += n
-    return num / den
+    _check_grid(m, n, exponent_cap)
+    classes = _classes(m, n)
+    lcm = math.lcm(*range(1, m + 2))
+    shared = [comb(n, b) * (a + 1) ** (n - b) for a, b in classes]
+    total, count = _host_totals(classes, _weights(variant, m, classes), shared, n, lcm)
+    return Fraction(total, lcm * count)
+
+
+class SweepPoint(NamedTuple):
+    """Both hosts at one n, unreduced: mu = total / (lcm * count)."""
+
+    n: int
+    lcm: int
+    split: tuple[int, int]      # (lcm * total order, subtree count)
+    bipartite: tuple[int, int]
+
+    @property
+    def sign(self) -> int:
+        """sign(mu(split) - mu(bipartite)), by cross-multiplication."""
+        (ts, cs), (tb, cb) = self.split, self.bipartite
+        diff = ts * cb - tb * cs
+        return (diff > 0) - (diff < 0)
+
+    def mean(self, variant: str) -> Fraction:
+        total, count = {"split": self.split, "bipartite": self.bipartite}[variant]
+        return Fraction(total, self.lcm * count)
+
+
+def mean_sweep(m: int, n_max: int) -> Iterator[SweepPoint]:
+    """Both hosts for n = 1..n_max in one incremental pass of exact integers.
+
+    The shared class factor Q = C(n, b) * (a+1)**(n-b) moves from n-1 to n
+    as Q * (a+1) * n // (n-b), starting from Q = 1 at n = b; stem counts are
+    looked up once per class.  Limits are checked against n_max first, so an
+    out-of-reach sweep fails before it starts.
+    """
+    if n_max < 1:
+        return
+    _check_grid(m, n_max)
+    classes = _classes(m, n_max)
+    lcm = math.lcm(*range(1, m + 2))
+    w_split = _weights("split", m, classes)
+    w_bip = _weights("bipartite", m, classes)
+    shared = [int(b == 0) for _, b in classes]
+    for n in range(1, n_max + 1):
+        for i, (a, b) in enumerate(classes):
+            if b < n:
+                shared[i] = shared[i] * ((a + 1) * n) // (n - b)
+            elif b == n:
+                shared[i] = 1
+        yield SweepPoint(n, lcm,
+                         _host_totals(classes, w_split, shared, n, lcm),
+                         _host_totals(classes, w_bip, shared, n, lcm))
 
 
 @dataclass(frozen=True)
@@ -239,25 +312,22 @@ class ThresholdReport:
     first_violation: int | None
     comparisons: tuple[tuple[int, int], ...]  # (n, sign(mu_split - mu_bip))
 
+    @classmethod
+    def from_comparisons(cls, m: int, n_max: int,
+                         comparisons: Iterable[tuple[int, int]]) -> "ThresholdReport":
+        """Ties count as "no crossing at this n"; after the first crossing,
+        the first n where the inequality fails again is the violation."""
+        comparisons = tuple(comparisons)
+        n_star = next((n for n, sign in comparisons if sign < 0), None)
+        first_violation = None
+        if n_star is not None:
+            first_violation = next((n for n, sign in comparisons
+                                    if n > n_star and sign >= 0), None)
+        persists = n_star is not None and first_violation is None
+        return cls(m, n_max, n_star, persists, first_violation, comparisons)
+
 
 def threshold_search(m: int, n_max: int) -> ThresholdReport:
-    """Compare the two variants exactly for every n up to n_max.
-
-    Ties count as "no crossing at this n"; once a crossing is found the
-    scan keeps going and records whether the inequality ever fails again.
-    """
-    comparisons = []
-    n_star: int | None = None
-    first_violation: int | None = None
-    for n in range(1, n_max + 1):
-        mu_split = graph_mean_order("split", m, n)
-        mu_bip = graph_mean_order("bipartite", m, n)
-        sign = -1 if mu_split < mu_bip else (0 if mu_split == mu_bip else 1)
-        comparisons.append((n, sign))
-        if n_star is None:
-            if sign < 0:
-                n_star = n
-        elif sign >= 0 and first_violation is None:
-            first_violation = n
-    persists = n_star is not None and first_violation is None
-    return ThresholdReport(m, n_max, n_star, persists, first_violation, tuple(comparisons))
+    """Compare the two variants exactly for every n up to n_max."""
+    return ThresholdReport.from_comparisons(
+        m, n_max, ((p.n, p.sign) for p in mean_sweep(m, n_max)))

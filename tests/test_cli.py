@@ -50,9 +50,11 @@ def test_mu_timing_present_without_deterministic(capsys):
 
 
 def test_deterministic_output_is_byte_identical(capsys):
-    _, out1, _ = run_cli(capsys, "--deterministic", "mu", "--path", "30")
-    _, out2, _ = run_cli(capsys, "--deterministic", "mu", "--path", "30")
-    assert out1 == out2
+    argv = ("--deterministic", "threshold", "--m", "3", "--n-max", "200", "--full-table")
+    code1, out1, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 and out1 == out2
 
 
 def test_exit_code_parse_error(capsys):
@@ -150,3 +152,26 @@ def test_scan_output_byte_identical_across_jobs(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, "--deterministic", "--jobs", "2", "scan",
                          "--file", str(corpus))
     assert out1 == out2
+
+
+def test_census_jobs_env_malformed_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CENSUS_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--m", "2", "--n-max", "10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "CENSUS_JOBS" in err
+
+
+def test_threshold_full_table_rows_match_graph_mean(capsys):
+    from subtree_census.stems import graph_mean_order
+    code, out, _ = run_cli(capsys, "--deterministic", "threshold",
+                           "--m", "3", "--n-max", "30", "--full-table")
+    rec = json.loads(out)
+    assert code == 0
+    assert [row["n"] for row in rec["rows"]] == list(range(1, 31))
+    for row in rec["rows"]:
+        ms = graph_mean_order("split", 3, row["n"])
+        mb = graph_mean_order("bipartite", 3, row["n"])
+        assert row["mu_split"] == str(ms) and row["mu_bipartite"] == str(mb)
+        assert row["sign"] == (ms > mb) - (ms < mb)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from subtree_census import stems
 from subtree_census.census import (
     Subtree,
     enumerate_subtrees,
@@ -26,6 +27,7 @@ from subtree_census.stems import (
     graph_mean_order,
     is_stem,
     iter_stem_trees,
+    mean_sweep,
     stem_count,
     stem_of,
     stem_table,
@@ -273,3 +275,38 @@ def test_threshold_m2_crossing_verified_by_census():
 def test_threshold_ties_are_not_crossings():
     rep = threshold_search(1, 10)
     assert rep.n_star is None and rep.first_violation is None and not rep.persists
+
+
+def test_threshold_signs_match_graph_means():
+    for m in range(1, 5):
+        rep = threshold_search(m, 80)
+        want = []
+        for n in range(1, 81):
+            diff = graph_mean_order("split", m, n) - graph_mean_order("bipartite", m, n)
+            want.append((n, (diff > 0) - (diff < 0)))
+        assert list(rep.comparisons) == want
+
+
+@pytest.mark.parametrize("variant", ["split", "bipartite"])
+def test_sweep_means_match_census(variant):
+    maker = make_complete_split if variant == "split" else make_complete_bipartite
+    for m in range(1, 4):
+        for point in mean_sweep(m, 6):
+            want = mean(subtree_stats_kirchhoff(maker(m, point.n)))
+            assert point.mean(variant) == want
+
+
+@pytest.mark.parametrize("m,n_max", [(6, 10), (2, 10**7)])
+def test_threshold_rejects_oversize_before_sweeping(monkeypatch, m, n_max):
+    def no_enumeration(*args):
+        raise AssertionError("stem enumeration ran before the size check")
+    monkeypatch.setattr(stems, "stem_count", no_enumeration)
+    with pytest.raises(TooLargeError):
+        threshold_search(m, n_max)
+
+
+def test_threshold_empty_and_invalid_inputs():
+    rep = threshold_search(3, 0)
+    assert rep.comparisons == () and rep.n_star is None and not rep.persists
+    with pytest.raises(ValueError):
+        threshold_search(0, 5)
