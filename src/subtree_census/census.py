@@ -10,16 +10,18 @@ graph does not.  Three routes to the same numbers:
 * `tree_subtree_stats` - linear rooted dynamic program, trees only.
 
 `marked_census` partitions the statistics by which marked vertices and how
-many tracked edges each subtree contains; `attach_pendant_stars` turns a
-census over hub vertices into exact statistics for the graph with pendant
-stars attached at the hubs, without ever materializing the leaves.
+many tracked edges each subtree contains, reading every tracked-edge cell
+of a connected subset off one weighted determinant (`_tau_mask` is the
+only Laplacian builder); `census_with_required` is the top tracked cell of
+that census.  `attach_pendant_stars` turns a census over hub vertices into
+exact statistics for the graph with pendant stars attached at the hubs,
+without ever materializing the leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, NotATreeError, TooLargeError
@@ -190,8 +192,6 @@ def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None) -> in
                 continue
             j = idx[v]
             w = 1 if weights is None else weights.get((u, v), 1)
-            if w == 0:
-                continue
             lap[i][i] += w
             lap[j][j] += w
             lap[i][j] -= w
@@ -369,72 +369,41 @@ def _check_census_args(g: Graph, marked: Iterable[int], tracked) -> tuple[Vertex
     return marks, tr
 
 
-def _interpolate_int_poly(values: list[int]) -> list[int]:
-    """Integer polynomial coefficients from values at x = 0, 1, ..., d."""
-    d = len(values) - 1
-    # Newton forward differences give the coefficients in the falling
-    # factorial basis; convert to monomials exactly with Fractions.
-    diffs = [Fraction(v) for v in values]
-    newton = [diffs[0]]
-    for level in range(1, d + 1):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        newton.append(diffs[0] / factorial(level))
-    coeffs = [Fraction(0)] * (d + 1)
-    basis = [Fraction(1)]  # falling factorial x(x-1)...(x-j+1) as monomials
-    for j, c in enumerate(newton):
-        for i, b in enumerate(basis):
-            coeffs[i] += c * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):  # multiply by (x - j)
-            nxt[i + 1] += b
-            nxt[i] -= j * b
-        basis = nxt
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InvariantViolation("tracked-edge polynomial has non-integer coefficients")
-        out.append(int(c))
-    return out
-
-
 def marked_census(g: Graph, marked: Iterable[int],
                   tracked: Iterable[tuple[int, int]] | None = None) -> MarkedCensus:
     """Partition subtree statistics by marked-vertex containment and
     tracked-edge count.
 
-    The tracked dimension uses the weighted Matrix-Tree theorem: per
-    connected subset, the spanning-tree generating polynomial in the
-    tracked-edge weight is recovered by integer evaluation/interpolation.
+    The tracked dimension uses the weighted Matrix-Tree theorem with one
+    determinant per connected subset: every tracked edge gets the weight
+    X = 2**bits, bits = max(1, |E(g)|), so the weighted count is the
+    spanning-tree polynomial P(X) = sum_j c_j X**j, c_j the spanning trees
+    with exactly j tracked edges.  A k-vertex subset with e >= 1 inner
+    edges has at most C(e, k-1) < 2**e <= X spanning trees, so the base-X
+    digits of P(X) are exactly c_0, ..., c_t, t the tracked edges inside.
     """
     if g.order > CENSUS_MAX:
         raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     marks, tr = _check_census_args(g, marked, tracked)
-    tr_set = frozenset(tr)
+    bits = max(1, g.size)
+    digit = (1 << bits) - 1
+    weights = {e: 1 << bits for e in tr} or None
     table: dict[tuple[VertexSet, int], SubtreeStats] = {}
-
-    def add(key, tau, size):
-        if tau == 0:
-            return
-        prev = table.get(key, ZERO_STATS)
-        table[key] = SubtreeStats(prev.count + tau, prev.total_order + tau * size)
-
     for mask in _iter_connected_masks(g.adjacency, g.order):
         size = bin(mask).count("1")
         cell_marks = frozenset(v for v in marks if mask >> v & 1)
-        inside = [e for e in tr if mask >> e[0] & 1 and mask >> e[1] & 1]
-        if not inside:
-            add((cell_marks, 0), _tau_mask(g, mask), size)
-            continue
-        t = len(inside)
-        values = []
-        for x in range(t + 1):
-            w = {e: x for e in inside}
-            values.append(_tau_mask(g, mask, w))
-        for j, coeff in enumerate(_interpolate_int_poly(values)):
-            if coeff < 0:
-                raise InvariantViolation("negative tracked-edge coefficient")
-            add((cell_marks, j), coeff, size)
-    return MarkedCensus(marks, tr_set, table)
+        t = sum(1 for u, v in tr if mask >> u & 1 and mask >> v & 1)
+        value = _tau_mask(g, mask, weights)
+        if value <= 0 or value >> (bits * (t + 1)):
+            raise InvariantViolation("tracked-edge polynomial outside its digit range")
+        for j in range(t + 1):
+            coeff = value >> (bits * j) & digit
+            if coeff == 0:
+                continue
+            key = (cell_marks, j)
+            prev = table.get(key, ZERO_STATS)
+            table[key] = SubtreeStats(prev.count + coeff, prev.total_order + coeff * size)
+    return MarkedCensus(marks, frozenset(tr), table)
 
 
 def marked_census_bruteforce(g: Graph, marked: Iterable[int],
@@ -454,73 +423,14 @@ def census_with_required(g: Graph, marked: Iterable[int],
                          required: Iterable[tuple[int, int]]) -> MarkedCensus:
     """Census of the subtrees containing every `required` edge.
 
-    Spanning trees through a forced forest are counted by contracting the
-    forced edges (multiplicities kept) before the determinant.  Cells carry
-    tracked count == len(required), so the result composes with censuses
-    that track the same edges.
+    This is the top cell of the census that tracks the required edges: a
+    subtree contains them all exactly when it holds len(required) of them.
+    Cells carry that tracked count, so the result composes with censuses
+    that track the same edges.  A required set with a cycle gives an empty
+    census.
     """
-    if g.order > CENSUS_MAX:
-        raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
-    marks, req = _check_census_args(g, marked, required)
-    if not req:
-        return marked_census(g, marked)
-    req_set = frozenset(req)
-    endpoint_mask = 0
-    for u, v in req:
-        endpoint_mask |= (1 << u) | (1 << v)
-    table: dict[tuple[VertexSet, int], SubtreeStats] = {}
-    for mask in _iter_connected_masks(g.adjacency, g.order):
-        if mask & endpoint_mask != endpoint_mask:
-            continue
-        tau = _tau_mask_contracted(g, mask, req)
-        if tau == 0:
-            continue
-        size = bin(mask).count("1")
-        cell_marks = frozenset(v for v in marks if mask >> v & 1)
-        key = (cell_marks, len(req))
-        prev = table.get(key, ZERO_STATS)
-        table[key] = SubtreeStats(prev.count + tau, prev.total_order + tau * size)
-    return MarkedCensus(marks, req_set, table)
-
-
-def _tau_mask_contracted(g: Graph, mask: int, required: list[Edge]) -> int:
-    """Spanning trees of the induced subgraph on `mask` containing every
-    required edge: contract them and count in the quotient multigraph."""
-    vs = _mask_vertices(mask)
-    parent = {v: v for v in vs}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in required:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return 0  # required edges contain a cycle
-        parent[ru] = rv
-    roots = sorted({find(v) for v in vs})
-    k = len(roots)
-    if k == 1:
-        return 1
-    idx = {r: i for i, r in enumerate(roots)}
-    lap = [[0] * k for _ in range(k)]
-    req_set = set(required)
-    for u, v in g.edges:
-        if not (mask >> u & 1 and mask >> v & 1):
-            continue
-        if (u, v) in req_set:
-            continue
-        a, b = idx[find(u)], idx[find(v)]
-        if a == b:
-            continue
-        lap[a][a] += 1
-        lap[b][b] += 1
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_det(minor)
+    req = list(required)
+    return marked_census(g, marked, req).filtered(tracked_count=len(req))
 
 
 # ---------------------------------------------------------------------------

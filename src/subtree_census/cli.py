@@ -23,7 +23,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import families, search, stems
-from .census import SubtreeStats, density, mean, subtree_stats_kirchhoff
+from .census import SubtreeStats, density, mean, subtree_stats_kirchhoff, tree_subtree_stats
 from .errors import Graph6Error, InvariantViolation, TooLargeError
 from .graphs import FamilyParams, make_path, parse_graph6
 
@@ -99,16 +99,16 @@ def _parse_chords(text: str) -> tuple[tuple[int, int], ...]:
 # Subcommands
 
 def cmd_mu(args) -> tuple[dict, list[dict] | None]:
-    if args.graph6 is not None:
-        g = parse_graph6(args.graph6)
-        stats = subtree_stats_kirchhoff(g)
+    if args.graph6 is not None or args.path is not None:
+        if args.graph6 is not None:
+            g = parse_graph6(args.graph6)
+            params = {"graph6": args.graph6}
+        else:
+            g = make_path(args.path)
+            params = {"path": args.path}
+        # the tree DP is linear, so trees skip the census size cap
+        stats = tree_subtree_stats(g) if g.is_tree() else subtree_stats_kirchhoff(g)
         payload = _stats_payload(stats, g.order)
-        params = {"graph6": args.graph6}
-    elif args.path is not None:
-        g = make_path(args.path)
-        stats = subtree_stats_kirchhoff(g)
-        payload = _stats_payload(stats, g.order)
-        params = {"path": args.path}
     elif args.family is not None:
         if args.L is None or args.s is None:
             raise ValueError("--family needs --L and --s")
@@ -189,16 +189,14 @@ def cmd_threshold(args) -> tuple[dict, list[dict]]:
 
 def cmd_scan(args) -> tuple[dict, list[dict]]:
     if args.file == "-":
-        lines = sys.stdin.readlines()
-        source = "<stdin>"
+        report = search.corpus_scan(sys.stdin, max_order=args.max_order,
+                                    jobs=args.jobs, source="<stdin>")
     else:
         # surrogateescape keeps stray non-ASCII bytes as per-line parse
         # errors instead of aborting the whole scan
         with open(args.file, "r", encoding="ascii", errors="surrogateescape") as fh:
-            lines = fh.readlines()
-        source = args.file
-    report = search.corpus_scan(lines, max_order=args.max_order,
-                                jobs=args.jobs, source=source)
+            report = search.corpus_scan(fh, max_order=args.max_order,
+                                        jobs=args.jobs, source=args.file)
     rows = [{
         "order": inst.order,
         "graph6": inst.graph_id,
@@ -212,7 +210,7 @@ def cmd_scan(args) -> tuple[dict, list[dict]]:
     warnings += [f"line {no}: {msg}" for no, msg in report.skipped]
     record = {
         "command": "scan",
-        "parameters": {"file": source, "max_order": args.max_order},
+        "parameters": {"file": report.source, "max_order": args.max_order},
         "results": {
             "graphs_scanned": report.graphs_scanned,
             "instances": len(report.instances),

@@ -36,18 +36,10 @@ class EdgeAdditionHit(NamedTuple):
 
 
 def edge_addition_scan(g: Graph) -> list[EdgeAdditionHit]:
-    """Non-edges whose addition strictly decreases the mean subtree order."""
-    if g.order > SCAN_MAX:
-        raise TooLargeError(f"edge-addition scan capped at {SCAN_MAX} vertices")
-    if not g.is_connected():
-        raise ValueError("edge-addition scan requires a connected graph")
-    mu0 = mean(subtree_stats_kirchhoff(g))
-    hits = []
-    for e in g.non_edges():
-        mu1 = mean(subtree_stats_kirchhoff(g.add_edges([e])))
-        if mu1 < mu0:
-            hits.append(EdgeAdditionHit(e, mu0, mu1))
-    return hits
+    """Non-edges whose addition strictly decreases the mean subtree order;
+    `k_edge_scan` with k = 1."""
+    return [EdgeAdditionHit(w.added[0], w.mu_before, w.mu_after)
+            for w in k_edge_scan(g, 1).witnesses]
 
 
 # ---------------------------------------------------------------------------

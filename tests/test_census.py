@@ -272,6 +272,32 @@ def test_census_with_required_vs_bruteforce():
         assert got == SubtreeStats(want_count, want_total)
 
 
+def test_every_edge_of_k6_tracked_matches_bruteforce():
+    # 15 tracked edges: the top digits of the weighted determinant are used
+    g = make_complete(6)
+    a = marked_census(g, {0, 1}, sorted(g.edges))
+    b = marked_census_bruteforce(g, {0, 1}, sorted(g.edges))
+    assert a.table == b.table
+    assert max(cnt for _, cnt in a.table) == 5
+
+
+def test_census_with_required_cycle_is_empty():
+    cen = census_with_required(make_complete(4), {0}, [(0, 1), (1, 2), (0, 2)])
+    assert cen.table == {}
+    assert cen.total() == SubtreeStats(0, 0)
+
+
+def test_spine_required_census_matches_bruteforce_cells():
+    from subtree_census.graphs import make_fan_broom_core
+
+    g, _ = make_fan_broom_core(7, 2)
+    spine = [(i, i + 1) for i in range(1, 6)]
+    req = census_with_required(g, {0, 1, 6}, spine)
+    brute = marked_census_bruteforce(g, {0, 1, 6}, spine)
+    want = {key: st for key, st in brute.table.items() if key[1] == len(spine)}
+    assert want and req.table == want
+
+
 def test_marked_census_validation():
     g = make_path(4)
     with pytest.raises(TooLargeError):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from subtree_census.cli import main
-from subtree_census.graphs import emit_graph6, make_path
+from subtree_census.graphs import emit_graph6, make_cycle, make_path
 
 
 def run_cli(capsys, *argv):
@@ -64,8 +64,18 @@ def test_exit_code_parse_error(capsys):
 
 
 def test_exit_code_too_large(capsys):
-    code, _, err = run_cli(capsys, "mu", "--graph6", emit_graph6(make_path(30)))
+    code, _, err = run_cli(capsys, "mu", "--graph6", emit_graph6(make_cycle(30)))
     assert code == 3
+
+
+def test_mu_tree_above_census_cap_uses_tree_dp(capsys):
+    # a path has mean subtree order (n + 2) / 3
+    for argv in (("--path", "30"), ("--graph6", emit_graph6(make_path(30)))):
+        code, out, _ = run_cli(capsys, "--deterministic", "mu", *argv)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["results"]["mu"] == "32/3"
+        assert rec["results"]["order"] == "30"
 
 
 def test_exit_code_bad_params(capsys):
