@@ -7,13 +7,15 @@ graph does not.  Three routes to the same numbers:
   explicitly by edge backtracking.
 * `subtree_stats_kirchhoff` - connected vertex subsets enumerated by
   recursive extension, spanning trees counted by an integer determinant.
+  A subset has as many spanning trees as its 2-core (what is left after
+  stripping degree-1 vertices), so the determinant is memoised per core.
 * `tree_subtree_stats` - linear rooted dynamic program, trees only.
 
 `marked_census` partitions the statistics by which marked vertices and how
 many tracked edges each subtree contains, reading every tracked-edge cell
-of a connected subset off one weighted determinant (`_tau_mask` is the
-only Laplacian builder); `census_with_required` is the top tracked cell of
-that census.  `attach_pendant_stars` turns a census over hub vertices into
+of a connected subset off one weighted determinant of its core (`_tau_mask`
+is the only Laplacian builder); `census_with_required` is the top tracked
+cell of that census.  `attach_pendant_stars` turns a census over hub vertices into
 exact statistics for the graph with pendant stars attached at the hubs,
 without ever materializing the leaves.
 """
@@ -84,16 +86,39 @@ class Subtree(NamedTuple):
 # ---------------------------------------------------------------------------
 # Connected-subset enumeration (recursive extension with a forbidden set;
 # every connected subset is produced exactly once, anchored at its minimum
-# vertex).
+# vertex).  Each subset comes with its 2-core, the subset left after
+# deleting degree-1 vertices until none is left; a tree keeps only its
+# minimum vertex.
 
-def _iter_connected_masks(adj: tuple[int, ...], n: int) -> Iterator[int]:
+def _strip_leaves(adj: tuple[int, ...], mask: int) -> int:
+    """2-core of a connected subset that contains a cycle."""
+    leaves = []
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        if (adj[b.bit_length() - 1] & mask).bit_count() == 1:
+            leaves.append(b)
+    core = mask
+    while leaves:
+        b = leaves.pop()
+        core ^= b
+        # the cycle survives, so the stripped leaf had one neighbour left
+        u = adj[b.bit_length() - 1] & core
+        if (adj[u.bit_length() - 1] & core).bit_count() == 1:
+            leaves.append(u)
+    return core
+
+
+def _iter_connected_masks(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
+    """(mask, 2-core mask) for every connected subset."""
     for v in range(n):
         root = 1 << v
         below = root - 1
-        stack = [(root, adj[v] & ~(root | below), below)]
+        stack = [(root, adj[v] & ~(root | below), below, root)]
         while stack:
-            s, ext, forb = stack.pop()
-            yield s
+            s, ext, forb, core = stack.pop()
+            yield s, core
             banned = 0
             cand = ext
             while cand:
@@ -101,15 +126,18 @@ def _iter_connected_masks(adj: tuple[int, ...], n: int) -> Iterator[int]:
                 cand ^= u
                 s2 = s | u
                 forb2 = forb | banned
-                ext2 = (ext | adj[u.bit_length() - 1]) & ~(forb2 | s2)
-                stack.append((s2, ext2, forb2))
+                au = adj[u.bit_length() - 1]
+                ext2 = (au | ext) & ~(forb2 | s2)
+                # a vertex joining by one edge is a leaf of s2: same core
+                core2 = core if (au & s).bit_count() == 1 else _strip_leaves(adj, s2)
+                stack.append((s2, ext2, forb2, core2))
                 banned |= u
 
 
 def iter_connected_subsets(g: Graph) -> Iterator[VertexSet]:
     """All nonempty connected vertex subsets, each exactly once."""
     n = g.order
-    for mask in _iter_connected_masks(g.adjacency, n):
+    for mask, _ in _iter_connected_masks(g.adjacency, n):
         yield frozenset(v for v in range(n) if mask >> v & 1)
 
 
@@ -200,6 +228,27 @@ def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None) -> in
     return _bareiss_det(minor)
 
 
+def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None) -> Iterator[tuple[int, int, int]]:
+    """(mask, core, tau_w(core)) for every connected subset `mask` and its
+    2-core `core`.
+
+    A leaf's edge lies in every spanning tree, so tau_w(mask) is tau_w(core)
+    times the weights of the stripped edges; unweighted, the two are equal.
+    One determinant serves every subset with the same core.  Only cores
+    reached by stripping enter the memo; a subset that is its own core is
+    computed directly, so leafless (dense) graphs store nothing.
+    """
+    memo: dict[int, int] = {}
+    for mask, core in _iter_connected_masks(g.adjacency, g.order):
+        if core == mask:
+            yield mask, core, _tau_mask(g, mask, weights)
+            continue
+        tau = memo.get(core)
+        if tau is None:
+            tau = memo[core] = _tau_mask(g, core, weights)
+        yield mask, core, tau
+
+
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees; 0 for disconnected input."""
     if g.order > SPANNING_MAX:
@@ -221,8 +270,7 @@ def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
         raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     count = 0
     total = 0
-    for mask in _iter_connected_masks(g.adjacency, g.order):
-        tau = _tau_mask(g, mask)
+    for mask, _, tau in _iter_core_tau(g):
         count += tau
         total += tau * bin(mask).count("1")
     return SubtreeStats(count, total)
@@ -388,12 +436,15 @@ def marked_census(g: Graph, marked: Iterable[int],
     bits = max(1, g.size)
     digit = (1 << bits) - 1
     weights = {e: 1 << bits for e in tr} or None
+    tr_masks = [1 << u | 1 << v for u, v in tr]
     table: dict[tuple[VertexSet, int], SubtreeStats] = {}
-    for mask in _iter_connected_masks(g.adjacency, g.order):
+    for mask, core, value in _iter_core_tau(g, weights):
         size = bin(mask).count("1")
         cell_marks = frozenset(v for v in marks if mask >> v & 1)
-        t = sum(1 for u, v in tr if mask >> u & 1 and mask >> v & 1)
-        value = _tau_mask(g, mask, weights)
+        t = sum(1 for em in tr_masks if mask & em == em)
+        if core != mask:
+            # each stripped tracked edge multiplies the count by X
+            value <<= bits * (t - sum(1 for em in tr_masks if core & em == em))
         if value <= 0 or value >> (bits * (t + 1)):
             raise InvariantViolation("tracked-edge polynomial outside its digit range")
         for j in range(t + 1):

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from . import families, search, stems
@@ -30,15 +30,60 @@ from .graphs import FamilyParams, make_path, parse_graph6
 CSV_SCHEMA = "# schema=1"
 
 
+# str(int) is quadratic in the digit count and refuses more than 4300
+# digits by default; above this many bits, _int_str converts through
+# decimal instead, whose multiplication is subquadratic.
+_STR_BITS = 8000
+_SPLIT_BITS = 128
+
+
+def _int_str(n: int) -> str:
+    """Exact decimal digits of n at any size, without touching the
+    interpreter's int-str digit limit.
+
+    The integer is split in binary, n = hi * 2**w + lo, and the halves are
+    recombined in a decimal context wide enough to stay exact (the method
+    of CPython 3.12's _pylong module).
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    powers: dict[int, Decimal] = {}
+
+    def pow2(w: int) -> Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (Decimal(2) ** w if w <= _SPLIT_BITS
+                         else pow2(half) * pow2(w - half))
+        return powers[w]
+
+    def convert(m: int, w: int) -> Decimal:
+        if w <= _SPLIT_BITS:
+            return Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.Emin = MIN_EMIN
+        ctx.traps[Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def _decimal_str(x: Fraction, sig: int = 12) -> str:
+    # Decimal(int) is quadratic in the digit count; Decimal(str) is not
+    num, den = Decimal(_int_str(x.numerator)), Decimal(_int_str(x.denominator))
     with localcontext() as ctx:
         ctx.prec = sig
-        d = Decimal(x.numerator) / Decimal(x.denominator)
+        d = num / den
     return str(d)
 
 
 def _rat(x: Fraction) -> str:
-    return str(x)
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
 
 
 def _emit(record: dict, rows: list[dict], args) -> None:
@@ -72,8 +117,8 @@ def _stats_payload(stats: SubtreeStats, n: int) -> dict:
     sigma = density(stats, n)
     return {
         "order": str(n),
-        "count": str(stats.count),
-        "total_order": str(stats.total_order),
+        "count": _int_str(stats.count),
+        "total_order": _int_str(stats.total_order),
         "mu": _rat(mu),
         "mu_decimal": _decimal_str(mu),
         "sigma": _rat(sigma),
@@ -194,7 +239,11 @@ def cmd_scan(args) -> tuple[dict, list[dict]]:
     else:
         # surrogateescape keeps stray non-ASCII bytes as per-line parse
         # errors instead of aborting the whole scan
-        with open(args.file, "r", encoding="ascii", errors="surrogateescape") as fh:
+        try:
+            fh = open(args.file, "r", encoding="ascii", errors="surrogateescape")
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
+        with fh:
             report = search.corpus_scan(fh, max_order=args.max_order,
                                         jobs=args.jobs, source=args.file)
     rows = [{
@@ -253,8 +302,8 @@ def cmd_stem_table(args) -> tuple[dict, list[dict]]:
             "stems_bipartite": str(table_bip.entries[(a, b)]),
         }
         if args.n is not None:
-            row["class_size_split"] = str(stems.class_size("split", args.m, args.n, a, b))
-            row["class_size_bipartite"] = str(stems.class_size("bipartite", args.m, args.n, a, b))
+            row["class_size_split"] = _int_str(stems.class_size("split", args.m, args.n, a, b))
+            row["class_size_bipartite"] = _int_str(stems.class_size("bipartite", args.m, args.n, a, b))
             row["class_mean"] = _rat(stems.class_mean_order(args.n, a, b))
         rows.append(row)
     record = {

@@ -309,6 +309,100 @@ def test_marked_census_validation():
 
 
 # ---------------------------------------------------------------------------
+# Leaf-stripped cores: every subset of these graphs strips down to a
+# triangle, C5 or K4 core, a part of one, or a single vertex
+
+LEAFY_CORES = [make_complete(3), make_cycle(5), make_complete(4)]
+
+
+def _leafy_graph(rng, core, order):
+    """`core` on its first vertices plus random pendant trees."""
+    pairs = set(core.edges)
+    for v in range(core.order, order):
+        pairs.add((rng.randrange(v), v))
+    return Graph.of(order, pairs)
+
+
+def test_leafy_graph_census_matches_bruteforce():
+    rng = random.Random(606)
+    for core in LEAFY_CORES:
+        for order in (core.order, 6, 9, 12):
+            g = _leafy_graph(rng, core, order)
+            assert subtree_stats_kirchhoff(g) == subtree_stats_bruteforce(g)
+
+
+def test_leafy_graph_tracked_census_matches_bruteforce():
+    # tracked edges on pendant paths are stripped, the core one is not
+    rng = random.Random(607)
+    for core in LEAFY_CORES:
+        for order in (8, 11):
+            g = _leafy_graph(rng, core, order)
+            pendant = sorted(e for e in g.edges if e[1] >= core.order)
+            tracked = rng.sample(pendant, 3) + rng.sample(sorted(core.edges), 1)
+            marked = rng.sample(range(order), 2)
+            a = marked_census(g, marked, tracked)
+            b = marked_census_bruteforce(g, marked, tracked)
+            assert a.table == b.table
+            assert max(cnt for _, cnt in a.table) == len(tracked)
+
+
+def test_tree_tracked_census_strips_to_one_vertex():
+    # every subset of a tree strips to a single vertex; a K2 subset keeps
+    # one end, and its tracked edge still lands in cell 1
+    cen = marked_census(make_path(2), {0}, [(0, 1)])
+    assert cen.table == {
+        (frozenset({0}), 0): SubtreeStats(1, 1),
+        (frozenset(), 0): SubtreeStats(1, 1),
+        (frozenset({0}), 1): SubtreeStats(1, 2),
+    }
+    rng = random.Random(608)
+    for order in (5, 9, 12):
+        t = random_tree(rng, order)
+        tracked = rng.sample(sorted(t.edges), 3)
+        a = marked_census(t, {0, order - 1}, tracked)
+        assert a.table == marked_census_bruteforce(t, {0, order - 1}, tracked).table
+
+
+def _two_core(g, vs):
+    """Naive 2-core of a connected vertex set; a tree keeps its minimum."""
+    core = set(vs)
+    while True:
+        leaves = {v for v in core if sum(u in core for u in g.neighbors(v)) <= 1}
+        if not leaves or leaves == core:
+            break
+        core -= leaves
+    return frozenset(core) if len(core) > 2 else frozenset({min(vs)})
+
+
+def test_one_determinant_per_distinct_core(monkeypatch):
+    # subsets that are their own core get a determinant each; all others
+    # share one per distinct core
+    from subtree_census import census
+    from subtree_census.graphs import make_fan_broom
+
+    calls = []
+    tau = census._tau_mask
+    monkeypatch.setattr(census, "_tau_mask",
+                        lambda g, mask, weights=None: calls.append(mask) or tau(g, mask, weights))
+    rng = random.Random(610)
+    for g in (make_fan_broom(6, 3, 2), _leafy_graph(rng, make_cycle(5), 12)):
+        calls.clear()
+        assert subtree_stats_kirchhoff(g) == subtree_stats_bruteforce(g)
+        cores = {vs: _two_core(g, vs) for vs in iter_connected_subsets(g)}
+        own = sum(1 for vs, core in cores.items() if vs == core)
+        shared = {core for vs, core in cores.items() if vs != core}
+        assert len(calls) == own + len(shared) < len(cores) // 10
+
+
+def test_tree_census_matches_tree_dp_above_bruteforce_size():
+    rng = random.Random(609)
+    for order in range(13, 23):
+        for _ in range(3):
+            t = random_tree(rng, order)
+            assert subtree_stats_kirchhoff(t) == tree_subtree_stats(t)
+
+
+# ---------------------------------------------------------------------------
 # Pendant star attachment
 
 def test_attach_stars_k1_core_gives_star():

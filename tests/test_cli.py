@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -185,3 +188,45 @@ def test_threshold_full_table_rows_match_graph_mean(capsys):
         mb = graph_mean_order("bipartite", 3, row["n"])
         assert row["mu_split"] == str(ms) and row["mu_bipartite"] == str(mb)
         assert row["sign"] == (ms > mb) - (ms < mb)
+
+
+def test_mu_count_beyond_int_str_digit_limit(capsys):
+    from subtree_census.families import fan_broom_stats
+
+    code, out, _ = run_cli(capsys, "--deterministic", "mu",
+                           "--family", "fan", "--L", "4", "--s", "8000", "--k", "1")
+    assert code == 0
+    res = json.loads(out)["results"]
+    stats = fan_broom_stats(4, 8000, 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(res["count"]) > limit
+        assert int(res["count"]) == stats.count
+        assert int(res["total_order"]) == stats.total_order
+        num, den = map(int, res["mu"].split("/"))
+        assert Fraction(num, den) == Fraction(stats.total_order, stats.count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_int_str_matches_str():
+    from subtree_census.cli import _int_str
+
+    rng = random.Random(11)
+    values = [0, 1, -1, 1 << 8000, (1 << 8001) - 1, -(1 << 20000)]
+    values += [rng.getrandbits(bits) for bits in (7999, 8001, 8200, 40000, 100003)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for v in values:
+            assert _int_str(v) == str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_scan_missing_file_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "scan", "--file", str(tmp_path / "missing.g6"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing.g6" in err
