@@ -373,34 +373,6 @@ class MarkedCensus:
     def cell(self, marks: Iterable[int], tracked_count: int = 0) -> SubtreeStats:
         return self.table.get((frozenset(marks), tracked_count), ZERO_STATS)
 
-    def filtered(self,
-                 min_marked: Iterable[int] = (),
-                 tracked_count: int | None = None,
-                 max_tracked: int | None = None) -> "MarkedCensus":
-        """Sub-census of the cells whose signature passes every given test."""
-        need = frozenset(min_marked)
-        table = {}
-        for (marks, cnt), stats in self.table.items():
-            if not need <= marks:
-                continue
-            if tracked_count is not None and cnt != tracked_count:
-                continue
-            if max_tracked is not None and cnt > max_tracked:
-                continue
-            table[(marks, cnt)] = stats
-        return MarkedCensus(self.marked, self.tracked, table)
-
-    def project(self, keep: Iterable[int]) -> "MarkedCensus":
-        """Collapse the marked dimension onto a subset of the marked vertices."""
-        keep_set = frozenset(keep)
-        if not keep_set <= self.marked:
-            raise ValueError("projection outside the marked set")
-        table: dict[tuple[VertexSet, int], SubtreeStats] = {}
-        for (marks, cnt), stats in self.table.items():
-            key = (marks & keep_set, cnt)
-            table[key] = table.get(key, ZERO_STATS) + stats
-        return MarkedCensus(keep_set, self.tracked, table)
-
 
 def _check_census_args(g: Graph, marked: Iterable[int], tracked) -> tuple[VertexSet, list[Edge]]:
     marks = frozenset(marked)
@@ -481,7 +453,10 @@ def census_with_required(g: Graph, marked: Iterable[int],
     census.
     """
     req = list(required)
-    return marked_census(g, marked, req).filtered(tracked_count=len(req))
+    full = marked_census(g, marked, req)
+    return MarkedCensus(full.marked, full.tracked,
+                        {(marks, cnt): stats for (marks, cnt), stats in full.table.items()
+                         if cnt == len(req)})
 
 
 # ---------------------------------------------------------------------------

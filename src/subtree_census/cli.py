@@ -23,7 +23,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from . import families, search, stems
-from .census import SubtreeStats, density, mean, subtree_stats_kirchhoff, tree_subtree_stats
+from .census import SubtreeStats, mean, subtree_stats_kirchhoff, tree_subtree_stats
 from .errors import Graph6Error, InvariantViolation, TooLargeError
 from .graphs import FamilyParams, make_path, parse_graph6
 
@@ -114,7 +114,7 @@ def _emit(record: dict, rows: list[dict], args) -> None:
 
 def _stats_payload(stats: SubtreeStats, n: int) -> dict:
     mu = mean(stats)
-    sigma = density(stats, n)
+    sigma = mu / n
     return {
         "order": str(n),
         "count": _int_str(stats.count),
@@ -199,10 +199,12 @@ def cmd_decrease(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_threshold(args) -> tuple[dict, list[dict]]:
-    comparisons, rows = [], []
+    comparisons, rows, crossing = [], [], None
     for point in stems.mean_sweep(args.m, args.n_max):
         sign = point.sign
         comparisons.append((point.n, sign))
+        if crossing is None and sign < 0:
+            crossing = point
         if args.full_table:
             ms, mb = point.mean("split"), point.mean("bipartite")
             rows.append({
@@ -219,11 +221,9 @@ def cmd_threshold(args) -> tuple[dict, list[dict]]:
         "persists": report.persists,
         "first_violation": report.first_violation,
     }
-    if report.n_star is not None:
-        ms = stems.graph_mean_order("split", args.m, report.n_star)
-        mb = stems.graph_mean_order("bipartite", args.m, report.n_star)
-        results["mu_split_at_n_star"] = _rat(ms)
-        results["mu_bipartite_at_n_star"] = _rat(mb)
+    if crossing is not None:
+        results["mu_split_at_n_star"] = _rat(crossing.mean("split"))
+        results["mu_bipartite_at_n_star"] = _rat(crossing.mean("bipartite"))
     record = {
         "command": "threshold",
         "parameters": {"m": args.m, "n_max": args.n_max},

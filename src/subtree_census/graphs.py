@@ -67,9 +67,6 @@ class Graph:
         m = self.adjacency[v]
         return [u for u in range(self.order) if m >> u & 1]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> Graph:
         return Graph.of(self.order, list(self.edges) + list(pairs))
 

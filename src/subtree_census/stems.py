@@ -4,8 +4,10 @@ Both hosts share a vertex bipartition into an m-side A (complete in the
 split variant, independent in the bipartite one) and an independent n-side
 B.  Each subtree is classified by its *stem*: the subtree induced by all of
 its A-vertices together with the B-vertices of degree at least two.  Stems
-on fixed label sets are enumerated over Prüfer sequences; everything else
-is closed-form in n, so n may be large while m stays small.
+on fixed label sets are counted in closed form by inclusion-exclusion over
+the B-vertices forced to be leaves; `iter_stem_trees` enumerates them over
+Prüfer sequences and serves only as the test oracle.  Everything else is
+closed-form in n, so n may be large while m stays moderate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .graphs import Edge, Graph, make_complete_bipartite, make_complete_split
 from .trees import prufer_edges
 
 VARIANTS = ("split", "bipartite")
-STEM_ENUM_MAX = 10  # Prüfer enumeration bound on a+b
+STEM_ENUM_MAX = 10  # Prüfer enumeration bound on a+b (the test oracle only)
+STEM_M_MAX = 64     # A-side bound: the class grid has about m**2/2 classes
 
 
 @dataclass(frozen=True)
@@ -106,21 +109,23 @@ def classify_stem(stem: Subtree, part: Bipartition) -> StemClass:
 # ---------------------------------------------------------------------------
 # Stem enumeration and counts on fixed labeled sides
 
-def _check_class(a: int, b: int):
+def _check_class(variant: str, a: int, b: int):
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     if a < 1:
         raise ValueError("need at least one A-vertex")
     if b < 0 or b > a - 1:
         raise ValueError("stem classes require 0 <= b <= a-1")
-    if a + b > STEM_ENUM_MAX:
-        raise TooLargeError(f"stem enumeration capped at {STEM_ENUM_MAX} vertices")
+    if a > STEM_M_MAX:
+        raise TooLargeError(f"stem classes capped at {STEM_M_MAX} A-vertices")
 
 
 def iter_stem_trees(variant: str, a: int, b: int) -> Iterator[tuple[Edge, ...]]:
     """All labeled stems on A = 0..a-1 and B = a..a+b-1: spanning trees whose
     edges respect the variant and whose B-vertices all have degree >= 2."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    _check_class(a, b)
+    _check_class(variant, a, b)
+    if a + b > STEM_ENUM_MAX:
+        raise TooLargeError(f"stem enumeration capped at {STEM_ENUM_MAX} vertices")
     nt = a + b
     if nt == 1:
         yield ()
@@ -149,15 +154,25 @@ def iter_stem_trees(variant: str, a: int, b: int) -> Iterator[tuple[Edge, ...]]:
             yield tuple(edges)
 
 
-_stem_count_cache: dict[tuple[str, int, int], int] = {}
+def _host_tree_count(variant: str, a: int, b: int) -> int:
+    """Spanning trees of the host on sides (a, b) that use no B-B edge."""
+    if b == 0:
+        if variant == "split":
+            return a ** (a - 2) if a > 1 else 1
+        return int(a == 1)
+    return a ** (b - 1) * (b if variant == "bipartite" else a + b) ** (a - 1)
 
 
 def stem_count(variant: str, a: int, b: int) -> int:
-    """Number of labeled stems on fixed sides of sizes (a, b)."""
-    key = (variant, a, b)
-    if key not in _stem_count_cache:
-        _stem_count_cache[key] = sum(1 for _ in iter_stem_trees(variant, a, b))
-    return _stem_count_cache[key]
+    """Number of labeled stems on fixed sides of sizes (a, b).
+
+    Inclusion-exclusion over the j B-vertices forced to be leaves: removing
+    them leaves a host tree on (a, b-j), and each hangs off one of a
+    A-vertices.
+    """
+    _check_class(variant, a, b)
+    return sum((-1) ** j * comb(b, j) * a ** j * _host_tree_count(variant, a, b - j)
+               for j in range(b + 1))
 
 
 def extension_count(a: int, b: int, n: int) -> int:
@@ -185,14 +200,14 @@ def class_mean_order(n: int, a: int, b: int) -> Fraction:
 
 
 def _check_grid(m: int, n: int, exponent_cap: int = EXPONENT_CAP) -> None:
-    """Raise before any enumeration when the hosts at (m, n) are out of reach;
+    """Raise before any stem count when the hosts at (m, n) are out of reach;
     every check is monotone in n, so passing at n covers all smaller n."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
+    if m > STEM_M_MAX:
+        raise TooLargeError(f"stem classes capped at {STEM_M_MAX} A-vertices")
     if n.bit_length() > 64 or (n * (m + 1).bit_length()) > exponent_cap:
         raise TooLargeError("(a+1)**(n-b) would exceed the exponent cap")
-    for a in range(1, m + 1):
-        _check_class(a, min(a - 1, n))
 
 
 def _classes(m: int, n: int) -> list[tuple[int, int]]:

@@ -121,6 +121,16 @@ def test_threshold_cli_m2(capsys):
     assert rec["results"]["persists"] is True
 
 
+def test_threshold_and_stem_table_cli_m6(capsys):
+    code, out, _ = run_cli(capsys, "--deterministic", "threshold",
+                           "--m", "6", "--n-max", "50")
+    assert code == 0
+    assert json.loads(out)["results"]["n_star"] == 8
+    code, out, _ = run_cli(capsys, "--deterministic", "stem-table", "--m", "6")
+    assert code == 0
+    assert json.loads(out)["results"]["classes"] == 21
+
+
 def test_scan_cli_with_warnings_exits_zero(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("A_\n!!bad\nBW\n")

@@ -97,6 +97,14 @@ def test_stem_count_hand_cases():
     assert stem_count("bipartite", 1, 0) == 1
 
 
+@pytest.mark.parametrize("variant", ["split", "bipartite"])
+def test_stem_count_matches_enumeration(variant):
+    for a in range(1, 8):
+        for b in range(0, min(a - 1, 7 - a) + 1):
+            want = sum(1 for _ in iter_stem_trees(variant, a, b))
+            assert stem_count(variant, a, b) == want
+
+
 def test_stem_count_split_b0_is_cayley():
     # with no B-vertices, split stems are just labeled trees on the A-side
     for a in range(1, 6):
@@ -240,7 +248,7 @@ def test_split_equals_bipartite_for_m1():
 
 def test_graph_mean_rejects_oversize():
     with pytest.raises(TooLargeError):
-        graph_mean_order("split", 6, 6)  # needs stems on 11 labeled vertices
+        graph_mean_order("split", stems.STEM_M_MAX + 1, 6)  # class grid too wide
     with pytest.raises(TooLargeError):
         graph_mean_order("split", 2, 10**7)
 
@@ -272,6 +280,32 @@ def test_threshold_m2_crossing_verified_by_census():
         assert (ms < mb) is expect_less
 
 
+def test_threshold_first_crossing_is_m_plus_2():
+    # measured pattern for these m, not a theorem
+    for m in range(3, 13):
+        rep = threshold_search(m, 200)
+        assert rep.n_star == m + 2 and rep.persists
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_threshold_crossing_verified_by_census(m):
+    n_star = threshold_search(m, 20).n_star
+    for n, want in [(n_star - 1, 1), (n_star, -1)]:
+        ms = mean(subtree_stats_kirchhoff(make_complete_split(m, n)))
+        mb = mean(subtree_stats_kirchhoff(make_complete_bipartite(m, n)))
+        assert (ms > mb) - (ms < mb) == want
+
+
+def test_threshold_and_stem_table_never_enumerate(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("stem enumeration on the production path")
+    monkeypatch.setattr(stems, "iter_stem_trees", no_enumeration)
+    assert threshold_search(6, 50).n_star == 8
+    table = stem_table("split", 8)
+    assert len(table.entries) == 36
+    assert table.entries[(8, 0)] == 8 ** 6
+
+
 def test_threshold_ties_are_not_crossings():
     rep = threshold_search(1, 10)
     assert rep.n_star is None and rep.first_violation is None and not rep.persists
@@ -296,10 +330,10 @@ def test_sweep_means_match_census(variant):
             assert point.mean(variant) == want
 
 
-@pytest.mark.parametrize("m,n_max", [(6, 10), (2, 10**7)])
+@pytest.mark.parametrize("m,n_max", [(stems.STEM_M_MAX + 1, 10), (2, 10**7)])
 def test_threshold_rejects_oversize_before_sweeping(monkeypatch, m, n_max):
     def no_enumeration(*args):
-        raise AssertionError("stem enumeration ran before the size check")
+        raise AssertionError("stem count ran before the size check")
     monkeypatch.setattr(stems, "stem_count", no_enumeration)
     with pytest.raises(TooLargeError):
         threshold_search(m, n_max)
