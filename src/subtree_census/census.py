@@ -17,7 +17,7 @@ of a connected subset off one weighted determinant of its core (`_tau_mask`
 is the only Laplacian builder); `census_with_required` is the top tracked
 cell of that census.  `attach_pendant_stars` turns a census over hub vertices into
 exact statistics for the graph with pendant stars attached at the hubs,
-without ever materializing the leaves.
+with bit shifts alone and without ever materializing the leaves.
 """
 
 from __future__ import annotations
@@ -462,41 +462,40 @@ def census_with_required(g: Graph, marked: Iterable[int],
 # ---------------------------------------------------------------------------
 # Pendant-star reduction
 
+def check_leaf_count(s: int) -> None:
+    """Reject a pendant-star size that `attach_pendant_stars` cannot take."""
+    if s < 0:
+        raise ValueError("negative leaf count")
+    if s > EXPONENT_CAP:
+        raise TooLargeError(
+            f"leaf count 2**{s} exceeds the {EXPONENT_CAP}-bit exponent cap")
+
+
 def attach_pendant_stars(census: MarkedCensus, leaf_counts: dict[int, int],
-                         include_leaf_singletons: bool = True,
-                         exponent_cap: int = EXPONENT_CAP) -> SubtreeStats:
+                         include_leaf_singletons: bool = True) -> SubtreeStats:
     """Statistics of the graph with `leaf_counts[u]` pendant leaves at each
     hub u, from a census whose marked set is exactly the hub set.
 
-    A core subtree containing hub u extends by any of the 2**s_u leaf
-    subsets at u, adding s_u/2 vertices on average; the exact bookkeeping
-    is done with the identity sum_{X subseteq leaves} |X| = s * 2**(s-1).
-    Bare leaves contribute `s_u` extra singleton subtrees (suppressed for
-    censuses that were filtered down to a restricted family).
+    A core subtree containing the hub set H extends by any of the 2**E leaf
+    subsets at its hubs, E = sum_{u in H} s_u, and those extensions add
+    sum_u s_u * 2**(s_u-1) * 2**(E-s_u) = E * 2**(E-1) leaves in total.  So
+    a cell (count c, total order t) contributes c << E subtrees of total
+    order (t << E) + (c*E << (E-1)): shifts only, no product of powers and
+    no division.  Bare leaves contribute `s_u` extra singleton subtrees
+    (suppressed for censuses that were filtered down to a restricted family).
     """
     if frozenset(leaf_counts) != census.marked:
         raise ValueError("leaf counts must cover exactly the census hub set")
-    for u, s in leaf_counts.items():
-        if s < 0:
-            raise ValueError("negative leaf count")
-        if s > exponent_cap:
-            raise TooLargeError(
-                f"leaf count 2**{s} exceeds the {exponent_cap}-bit exponent cap")
-    pow2 = {u: 1 << s for u, s in leaf_counts.items()}
+    for s in leaf_counts.values():
+        check_leaf_count(s)
     count = 0
     total = 0
     for (hubs, _), stats in census.table.items():
-        prod = 1
-        for u in hubs:
-            prod *= pow2[u]
-        count += stats.count * prod
-        total += stats.total_order * prod
-        for u in hubs:
-            s = leaf_counts[u]
-            if s == 0:
-                continue
-            rest = prod // pow2[u]
-            total += stats.count * s * (1 << (s - 1)) * rest
+        e = sum(leaf_counts[u] for u in hubs)
+        count += stats.count << e
+        total += stats.total_order << e
+        if e:
+            total += stats.count * e << (e - 1)
     if include_leaf_singletons:
         extra = sum(leaf_counts.values())
         count += extra

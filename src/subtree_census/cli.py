@@ -72,18 +72,24 @@ def _int_str(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
-def _decimal_str(x: Fraction, sig: int = 12) -> str:
-    # Decimal(int) is quadratic in the digit count; Decimal(str) is not
-    num, den = Decimal(_int_str(x.numerator)), Decimal(_int_str(x.denominator))
-    with localcontext() as ctx:
-        ctx.prec = sig
-        d = num / den
-    return str(d)
-
-
 def _rat(x: Fraction) -> str:
     num = _int_str(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
+
+
+def _rat_fields(**values: Fraction) -> dict[str, str]:
+    """`name`: exact `_rat` string and `name_decimal`: 12-significant-digit
+    approximation for each value, all exact fields first.  Each numerator
+    and denominator is converted to digits once, for both fields."""
+    exact, approx = {}, {}
+    for name, x in values.items():
+        num, den = _int_str(x.numerator), _int_str(x.denominator)
+        exact[name] = num if x.denominator == 1 else f"{num}/{den}"
+        # Decimal(int) is quadratic in the digit count; Decimal(str) is not
+        with localcontext() as ctx:
+            ctx.prec = 12
+            approx[f"{name}_decimal"] = str(Decimal(num) / Decimal(den))
+    return exact | approx
 
 
 def _emit(record: dict, rows: list[dict], args) -> None:
@@ -119,10 +125,7 @@ def _stats_payload(stats: SubtreeStats, n: int) -> dict:
         "order": str(n),
         "count": _int_str(stats.count),
         "total_order": _int_str(stats.total_order),
-        "mu": _rat(mu),
-        "mu_decimal": _decimal_str(mu),
-        "sigma": _rat(sigma),
-        "sigma_decimal": _decimal_str(sigma),
+        **_rat_fields(mu=mu, sigma=sigma),
     }
 
 
@@ -185,10 +188,7 @@ def cmd_decrease(args) -> tuple[dict, list[dict]]:
         "L": w.length,
         "s": w.star_size,
         "n": w.length + 2 * w.star_size,
-        "mu_base": _rat(w.mu_base),
-        "mu_added": _rat(w.mu_added),
-        "mu_base_decimal": _decimal_str(w.mu_base),
-        "mu_added_decimal": _decimal_str(w.mu_added),
+        **_rat_fields(mu_base=w.mu_base, mu_added=w.mu_added),
     } for w in witnesses]
     record = {
         "command": "decrease",
@@ -206,14 +206,11 @@ def cmd_threshold(args) -> tuple[dict, list[dict]]:
         if crossing is None and sign < 0:
             crossing = point
         if args.full_table:
-            ms, mb = point.mean("split"), point.mean("bipartite")
             rows.append({
                 "n": point.n,
                 "sign": sign,
-                "mu_split": _rat(ms),
-                "mu_bipartite": _rat(mb),
-                "mu_split_decimal": _decimal_str(ms),
-                "mu_bipartite_decimal": _decimal_str(mb),
+                **_rat_fields(mu_split=point.mean("split"),
+                              mu_bipartite=point.mean("bipartite")),
             })
     report = stems.ThresholdReport.from_comparisons(args.m, args.n_max, comparisons)
     results = {
@@ -250,10 +247,7 @@ def cmd_scan(args) -> tuple[dict, list[dict]]:
         "order": inst.order,
         "graph6": inst.graph_id,
         "edge": f"{inst.added[0]}-{inst.added[1]}",
-        "mu_before": _rat(inst.mu_before),
-        "mu_after": _rat(inst.mu_after),
-        "mu_before_decimal": _decimal_str(inst.mu_before),
-        "mu_after_decimal": _decimal_str(inst.mu_after),
+        **_rat_fields(mu_before=inst.mu_before, mu_after=inst.mu_after),
     } for inst in report.instances]
     warnings = [f"line {no}: {msg}" for no, msg in report.parse_errors]
     warnings += [f"line {no}: {msg}" for no, msg in report.skipped]

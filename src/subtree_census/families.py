@@ -27,6 +27,7 @@ from .census import (
     SubtreeStats,
     attach_pendant_stars,
     census_with_required,
+    check_leaf_count,
     density,
     marked_census,
     mean,
@@ -303,8 +304,14 @@ def find_decrease_witnesses(k: int, lengths: Iterable[int],
     comparisons; scan order is lengths-major."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    witnesses = []
+    lengths = list(lengths)
     sizes = list(star_sizes)
+    # fail on any out-of-range point before the first census
+    for length in lengths:
+        _check_core(length)
+    for s in sizes:
+        check_leaf_count(s)
+    witnesses = []
     for length in lengths:
         for s in sizes:
             mu_base = mean(broom_stats(length, s))

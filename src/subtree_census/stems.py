@@ -199,14 +199,14 @@ def class_mean_order(n: int, a: int, b: int) -> Fraction:
     return Fraction((n - b) * a, a + 1) + a + b
 
 
-def _check_grid(m: int, n: int, exponent_cap: int = EXPONENT_CAP) -> None:
+def _check_grid(m: int, n: int) -> None:
     """Raise before any stem count when the hosts at (m, n) are out of reach;
     every check is monotone in n, so passing at n covers all smaller n."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if m > STEM_M_MAX:
         raise TooLargeError(f"stem classes capped at {STEM_M_MAX} A-vertices")
-    if n.bit_length() > 64 or (n * (m + 1).bit_length()) > exponent_cap:
+    if n.bit_length() > 64 or (n * (m + 1).bit_length()) > EXPONENT_CAP:
         raise TooLargeError("(a+1)**(n-b) would exceed the exponent cap")
 
 
@@ -238,14 +238,13 @@ def _host_totals(classes: list[tuple[int, int]], weights: list[int],
     return total + n * lcm, count + n
 
 
-def graph_mean_order(variant: str, m: int, n: int,
-                     exponent_cap: int = EXPONENT_CAP) -> Fraction:
+def graph_mean_order(variant: str, m: int, n: int) -> Fraction:
     """Exact mean subtree order of the complete split graph (variant
     "split") or of the complete bipartite graph (variant "bipartite"),
     assembled from the stem classes plus the n single-B-vertex subtrees."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    _check_grid(m, n, exponent_cap)
+    _check_grid(m, n)
     classes = _classes(m, n)
     lcm = math.lcm(*range(1, m + 2))
     shared = [comb(n, b) * (a + 1) ** (n - b) for a, b in classes]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -480,6 +481,68 @@ def test_attach_stars_huge_s_exact():
     p = 1 << s
     want_count = p + p + p * p + 2 * s
     assert got.count == want_count
+    # one hub: s * 2**(s-1) leaves over its 2**s extensions; both hubs:
+    # 2 * p * p vertices plus 2s * 2**(2s-1) leaves; 2s bare leaves
+    one_hub = p + s * (p >> 1)
+    assert got.total_order == 2 * one_hub + 2 * p * p + 2 * s * (p * p >> 1) + 2 * s
+
+
+def _binomial_star_reference(census, leaf_counts, include_leaf_singletons=True):
+    # each hub u contributes sum_j C(s_u, j) leaf subsets holding sum_j j*C(s_u, j)
+    # leaves in total, independently of the other hubs
+    subsets = {u: sum(comb(s, j) for j in range(s + 1)) for u, s in leaf_counts.items()}
+    leaves = {u: sum(j * comb(s, j) for j in range(s + 1)) for u, s in leaf_counts.items()}
+    count = total = 0
+    for (hubs, _), stats in census.table.items():
+        ways = 1
+        for u in hubs:
+            ways *= subsets[u]
+        count += stats.count * ways
+        total += stats.total_order * ways
+        for u in hubs:
+            others = 1
+            for v in hubs - {u}:
+                others *= subsets[v]
+            total += stats.count * leaves[u] * others
+    if include_leaf_singletons:
+        count += sum(leaf_counts.values())
+        total += sum(leaf_counts.values())
+    return SubtreeStats(count, total)
+
+
+def test_attach_stars_unequal_counts_vs_binomial_sums():
+    from subtree_census.graphs import make_fan_broom_core
+    rng = random.Random(88)
+    cases = [
+        (make_path(2), {0: 0, 1: 300}),
+        (make_path(4), {0: 257, 3: 0}),
+        (make_fan_broom_core(7, 2)[0], {0: 0, 3: 131, 6: 5}),
+        (make_cycle(5), {0: 1, 2: 0, 3: 299}),
+        (make_complete(4), {0: 64, 1: 0, 2: 3, 3: 200}),
+    ]
+    for _ in range(6):
+        g = random_connected_graph(rng, rng.randint(3, 8), 0.4)
+        hubs = rng.sample(range(g.order), rng.randint(1, 3))
+        cases.append((g, {u: rng.choice([0, 1, rng.randint(2, 300)]) for u in hubs}))
+    for g, leaf_counts in cases:
+        cen = marked_census(g, leaf_counts)
+        for singletons in (True, False):
+            assert (attach_pendant_stars(cen, leaf_counts, include_leaf_singletons=singletons)
+                    == _binomial_star_reference(cen, leaf_counts, singletons))
+
+
+def test_attach_stars_unequal_stars_vs_materialized_census():
+    from subtree_census.graphs import make_fan_broom_core
+    core, _ = make_fan_broom_core(9, 2)
+    for leaf_counts in ({0: 6, 4: 0, 8: 5}, {0: 4, 4: 3, 8: 5}):
+        pairs = list(core.edges)
+        order = core.order
+        for hub, s in leaf_counts.items():
+            pairs += [(hub, order + i) for i in range(s)]
+            order += s
+        assert order <= 22
+        got = attach_pendant_stars(marked_census(core, leaf_counts), leaf_counts)
+        assert got == subtree_stats_kirchhoff(Graph.of(order, pairs))
 
 
 def test_stats_subtraction_guard():

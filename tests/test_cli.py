@@ -104,6 +104,20 @@ def test_decrease_cli(capsys):
         assert "/" in row["mu_base"] or row["mu_base"].isdigit()
 
 
+def test_decrease_core_over_bound_exits_3_before_scanning(monkeypatch, capsys):
+    from subtree_census import families
+
+    def no_census(*args):
+        raise AssertionError("census ran before the range checks")
+
+    monkeypatch.setattr(families, "_hub_census", no_census)
+    code, out, err = run_cli(capsys, "--deterministic", "decrease",
+                             "--k", "1", "--L-max", "23", "--s-max", "65536")
+    assert code == 3
+    assert out == ""
+    assert err == "error: core length 23 exceeds the census bound 22\n"
+
+
 def test_threshold_cli_m1_no_crossing(capsys):
     code, out, _ = run_cli(capsys, "--deterministic", "threshold",
                            "--m", "1", "--n-max", "100")

@@ -296,6 +296,22 @@ def test_decrease_scan_is_sorted_and_exact():
     assert lex == sorted(lex)
 
 
+def test_decrease_scan_rejects_out_of_range_points_before_any_census(monkeypatch):
+    from subtree_census import families
+    from subtree_census.census import EXPONENT_CAP
+
+    def no_census(*args):
+        raise AssertionError("census ran before the range checks")
+
+    monkeypatch.setattr(families, "_hub_census", no_census)
+    with pytest.raises(TooLargeError, match="core length 23 exceeds the census bound 22"):
+        find_decrease_witnesses(1, range(3, 24), geometric_star_sizes(65536))
+    with pytest.raises(TooLargeError, match="exponent cap"):
+        find_decrease_witnesses(1, range(3, 6), [0, 1, EXPONENT_CAP + 1])
+    with pytest.raises(ValueError, match="negative leaf count"):
+        find_decrease_witnesses(1, range(3, 6), [0, 1, -1])
+
+
 def test_chorded_witness_and_stepwise_deletion():
     w = find_chorded_decrease_witness(2, range(4, 10), geometric_star_sizes(64))
     assert w is not None
