@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, NotATreeError, TooLargeError
-from .graphs import Edge, Graph, VertexSet, edge
+from .graphs import Edge, Graph, VertexSet, edge, mask_connected
 from .trees import subtree_stats_of_tree
 
 BRUTE_MAX = 12
@@ -56,9 +56,6 @@ class SubtreeStats:
         if c < 0 or t < 0:
             raise InvariantViolation("subtree statistics went negative")
         return SubtreeStats(c, t)
-
-    def mean(self) -> Fraction:
-        return mean(self)
 
 
 ZERO_STATS = SubtreeStats(0, 0)
@@ -150,42 +147,19 @@ def _mask_vertices(mask: int) -> list[int]:
     return out
 
 
-def _mask_connected(adj: tuple[int, ...], mask: int) -> bool:
-    if mask == 0:
-        return False
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            m ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free (Bareiss) determinant over exact integers.
 
 def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a positive definite integer matrix, such as the reduced
+    Laplacian of a connected graph with positive edge weights.  Every pivot
+    is a leading principal minor, hence positive, so no row is exchanged."""
     n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         pivot = m[k][k]
+        if pivot <= 0:
+            raise InvariantViolation("non-positive Bareiss pivot")
         row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
@@ -194,7 +168,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
                 row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1]
 
 
 def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None) -> int:
@@ -253,12 +227,9 @@ def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees; 0 for disconnected input."""
     if g.order > SPANNING_MAX:
         raise TooLargeError(f"spanning tree count capped at {SPANNING_MAX} vertices")
-    if g.order == 0:
+    if not g.is_connected():
         return 0
-    full = (1 << g.order) - 1
-    if not _mask_connected(g.adjacency, full):
-        return 0
-    return _tau_mask(g, full)
+    return _tau_mask(g, (1 << g.order) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +250,6 @@ def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
 def _iter_spanning_trees(k: int, edges_in: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All spanning trees of a k-vertex graph given as a local edge list."""
     need = k - 1
-    if need == 0:
-        yield ()
-        return
 
     def rec(idx: int, parent: list[int], chosen: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
         if len(chosen) == need:
@@ -314,7 +282,7 @@ def enumerate_subtrees(g: Graph) -> Iterator[Subtree]:
     adj = g.adjacency
     edge_list = sorted(g.edges)
     for mask in range(1, 1 << n):
-        if not _mask_connected(adj, mask):
+        if not mask_connected(adj, mask):
             continue
         vs = _mask_vertices(mask)
         vset = frozenset(vs)

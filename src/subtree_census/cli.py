@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import families, search, stems
 from .census import SubtreeStats, mean, subtree_stats_kirchhoff, tree_subtree_stats
-from .errors import Graph6Error, InvariantViolation, TooLargeError
+from .errors import InvariantViolation, TooLargeError
 from .graphs import FamilyParams, make_path, parse_graph6
 
 CSV_SCHEMA = "# schema=1"
@@ -138,7 +138,7 @@ def _parse_chords(text: str) -> tuple[tuple[int, int], ...]:
         try:
             a, b = part.split("-")
             chords.append((int(a), int(b)))
-        except Exception:
+        except ValueError:
             raise ValueError(f"bad chord {part!r}; expected like 0-5") from None
     return tuple(chords)
 
@@ -160,6 +160,10 @@ def cmd_mu(args) -> tuple[dict, list[dict] | None]:
     elif args.family is not None:
         if args.L is None or args.s is None:
             raise ValueError("--family needs --L and --s")
+        if args.k is not None and args.family != "fan":
+            raise ValueError("--k applies only to --family fan")
+        if args.chords is not None and args.family != "chorded":
+            raise ValueError("--chords applies only to --family chorded")
         chords = _parse_chords(args.chords) if args.chords else ()
         fam = FamilyParams(args.L, args.s, k=args.k or 0, chords=chords)
         if args.family == "broom":
@@ -285,6 +289,8 @@ def cmd_tree_bound(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_stem_table(args) -> tuple[dict, list[dict]]:
+    if args.n is not None and args.n < 0:
+        raise ValueError("--n must be >= 0")
     table_split = stems.stem_table("split", args.m)
     table_bip = stems.stem_table("bipartite", args.m)
     rows = []
@@ -295,7 +301,10 @@ def cmd_stem_table(args) -> tuple[dict, list[dict]]:
             "stems_split": str(table_split.entries[(a, b)]),
             "stems_bipartite": str(table_bip.entries[(a, b)]),
         }
-        if args.n is not None:
+        if args.n is not None and b > args.n:
+            # a stem needs b B-vertices, so a host with fewer has no such subtree
+            row.update(class_size_split="0", class_size_bipartite="0", class_mean="")
+        elif args.n is not None:
             row["class_size_split"] = _int_str(stems.class_size("split", args.m, args.n, a, b))
             row["class_size_bipartite"] = _int_str(stems.class_size("bipartite", args.m, args.n, a, b))
             row["class_mean"] = _rat(stems.class_mean_order(args.n, a, b))
@@ -312,10 +321,13 @@ def cmd_stem_table(args) -> tuple[dict, list[dict]]:
 
 def _jobs_value(text: str) -> int:
     try:
-        return int(text)
+        jobs = int(text)
+        if jobs >= 1:
+            return jobs
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs / CENSUS_JOBS must be an integer, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"--jobs / CENSUS_JOBS must be a positive integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         record, rows = args.fn(args)
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

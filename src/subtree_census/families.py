@@ -22,6 +22,7 @@ from math import comb
 from typing import Callable, Iterable, NamedTuple
 
 from .census import (
+    CENSUS_MAX,
     EXPONENT_CAP,
     MarkedCensus,
     SubtreeStats,
@@ -45,7 +46,7 @@ from .graphs import (
     make_fan_broom_core,
 )
 
-CORE_MAX = 22  # census feasibility bound on the materialized core
+CORE_MAX = CENSUS_MAX  # census feasibility bound on the materialized core
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +145,10 @@ def _check_core(length: int):
         raise TooLargeError(f"core length {length} exceeds the census bound {CORE_MAX}")
 
 
-def _star_extend(cell_census: MarkedCensus, hubs: VertexSet, s: int,
-                 include_leaf_singletons: bool) -> SubtreeStats:
-    leaf_counts = {h: s for h in hubs}
-    return attach_pendant_stars(cell_census, leaf_counts,
-                                include_leaf_singletons=include_leaf_singletons)
+def _star_extend(census: MarkedCensus, s: int, singletons: bool = True) -> SubtreeStats:
+    """`s` pendant leaves at every marked vertex of `census`."""
+    return attach_pendant_stars(census, dict.fromkeys(census.marked, s),
+                                include_leaf_singletons=singletons)
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +157,19 @@ def _star_extend(cell_census: MarkedCensus, hubs: VertexSet, s: int,
 def broom_stats(length: int, s: int) -> SubtreeStats:
     """Exact statistics of the double broom: path core + s leaves per hub."""
     _check_core(length)
-    core, hubs = make_broom_core(length)
-    return _star_extend(_hub_census(core, hubs), hubs, s, True)
+    return _star_extend(_hub_census(*make_broom_core(length)), s)
 
 
 def fan_broom_stats(length: int, s: int, k: int) -> SubtreeStats:
     """Double broom plus the k fan chords (first k path vertices to far hub)."""
     _check_core(length)
-    if k == 0:
-        return broom_stats(length, s)
-    core, hubs = make_fan_broom_core(length, k)
-    return _star_extend(_hub_census(core, hubs), hubs, s, True)
+    return _star_extend(_hub_census(*make_fan_broom_core(length, k)), s)
 
 
 def chorded_broom_stats(length: int, s: int, chords: Iterable[tuple[int, int]]) -> SubtreeStats:
     """Double broom plus arbitrary valid core chords."""
     _check_core(length)
-    core, hubs = make_chorded_broom_core(length, chords)
-    return _star_extend(_hub_census(core, hubs), hubs, s, True)
+    return _star_extend(_hub_census(*make_chorded_broom_core(length, chords)), s)
 
 
 def path_mean_order(q: int) -> Fraction:
@@ -213,8 +208,7 @@ def anchor_edge_stats(length: int, s: int) -> SubtreeStats:
     _check_core(length)
     core, hubs = _anchor_core(length)
     anchor = edge(0, length - 1)
-    cen = _required_core_census(core, hubs, (anchor,))
-    return _star_extend(cen, hubs, s, False)
+    return _star_extend(_required_core_census(core, hubs, (anchor,)), s, singletons=False)
 
 
 def fan_anchor_stats(k: int) -> SubtreeStats:
@@ -252,8 +246,7 @@ def anchored_family_stats(length: int, s: int, k: int) -> SubtreeStats:
     with_marks = _marked_core_census(core, marks).cell(marks)
     with_spine = _required_core_census(core, marks, spine).cell(marks, len(spine))
     cell = with_marks - with_spine
-    hub_census = MarkedCensus(hubs, frozenset(), {(hubs, 0): cell})
-    return _star_extend(hub_census, hubs, s, False)
+    return _star_extend(MarkedCensus(hubs, frozenset(), {(hubs, 0): cell}), s, singletons=False)
 
 
 def chord_class_stats(length: int, s: int, chords: Iterable[tuple[int, int]],
@@ -271,10 +264,9 @@ def chord_class_stats(length: int, s: int, chords: Iterable[tuple[int, int]],
         raise ValueError("used chords must be a subset of the chords")
     core, hubs = make_chorded_broom_core(length, all_chords)
     trimmed = core.remove_edges(all_chords - used_set)
-    if not used_set:
-        return _star_extend(_hub_census(trimmed, hubs), hubs, s, True)
+    # leaf singletons use no chord, so they belong only to the chordless class
     cen = _required_core_census(trimmed, hubs, tuple(sorted(used_set)))
-    return _star_extend(cen, hubs, s, False)
+    return _star_extend(cen, s, singletons=not used_set)
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,27 @@ class Graph:
         return tuple(sorted(self.degree(v) for v in range(self.order)))
 
     def is_connected(self) -> bool:
-        if self.order == 0:
-            return False
-        adj = self.adjacency
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.order) - 1
+        return mask_connected(self.adjacency, (1 << self.order) - 1)
 
     def is_tree(self) -> bool:
         return self.order >= 1 and self.size == self.order - 1 and self.is_connected()
+
+
+def mask_connected(adj: tuple[int, ...], mask: int) -> bool:
+    """Whether the vertex set `mask` is nonempty and induces a connected
+    subgraph of the graph with neighbour bitmasks `adj`."""
+    if mask == 0:
+        return False
+    seen = mask & -mask
+    frontier = seen
+    while frontier:
+        nxt = 0
+        while frontier:
+            nxt |= adj[(frontier & -frontier).bit_length() - 1]
+            frontier &= frontier - 1
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen == mask
 
 
 def _check_materialized(n: int):
@@ -192,9 +196,7 @@ def make_fan_broom_core(length: int, k: int) -> tuple[Graph, VertexSet]:
         raise ValueError("k must be >= 0")
     if k >= length:
         raise ValueError(f"k={k} must be smaller than the core length {length}")
-    core, hubs = make_broom_core(length)
-    chords = [_validate_chord(length, (i, length - 1)) for i in range(k)]
-    return core.add_edges(chords), hubs
+    return make_chorded_broom_core(length, [(i, length - 1) for i in range(k)])
 
 
 def make_chorded_broom_core(length: int, chords: Iterable[tuple[int, int]]) -> tuple[Graph, VertexSet]:

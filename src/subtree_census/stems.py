@@ -278,11 +278,12 @@ def mean_sweep(m: int, n_max: int) -> Iterator[SweepPoint]:
     The shared class factor Q = C(n, b) * (a+1)**(n-b) moves from n-1 to n
     as Q * (a+1) * n // (n-b), starting from Q = 1 at n = b; stem counts are
     looked up once per class.  Limits are checked against n_max first, so an
-    out-of-reach sweep fails before it starts.
+    out-of-reach sweep fails before it starts; m is checked even when the
+    sweep is empty.
     """
+    _check_grid(m, max(n_max, 1))
     if n_max < 1:
         return
-    _check_grid(m, n_max)
     classes = _classes(m, n_max)
     lcm = math.lcm(*range(1, m + 2))
     w_split = _weights("split", m, classes)
@@ -307,6 +308,8 @@ class StemTable:
 
 
 def stem_table(variant: str, m: int) -> StemTable:
+    if m < 1:
+        raise ValueError("need m >= 1")
     entries = {}
     for a in range(1, m + 1):
         for b in range(0, a):

@@ -254,3 +254,78 @@ def test_scan_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "missing.g6" in err
+
+
+def test_mu_family_broom_and_chorded_match_library(capsys):
+    from subtree_census.families import broom_stats, chorded_broom_stats
+
+    cases = [(("--family", "broom", "--L", "6", "--s", "2"), broom_stats(6, 2)),
+             (("--family", "chorded", "--L", "9", "--s", "5", "--chords", "0-4, 4-8"),
+              chorded_broom_stats(9, 5, [(0, 4), (4, 8)]))]
+    for argv, stats in cases:
+        code, out, _ = run_cli(capsys, "--deterministic", "mu", *argv)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["count"] == str(stats.count)
+        assert res["total_order"] == str(stats.total_order)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "chorded", "--L", "9", "--s", "5", "--chords", "0-x"),
+    ("--family", "broom", "--L", "6", "--s", "2", "--k", "3"),
+    ("--family", "chorded", "--L", "6", "--s", "2", "--k", "1", "--chords", "0-3"),
+    ("--family", "broom", "--L", "6", "--s", "2", "--chords", "0-3"),
+    ("--family", "fan", "--L", "6", "--s", "2", "--k", "1", "--chords", "0-3"),
+])
+def test_mu_family_flag_mismatch_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "mu", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("threshold", "--m", "100", "--n-max", "0"), 3),
+    (("threshold", "--m", "0", "--n-max", "0"), 2),
+    (("threshold", "--m", "-3", "--n-max", "-5"), 2),
+    (("stem-table", "--m", "-2"), 2),
+    (("stem-table", "--m", "2", "--n", "-1"), 2),
+])
+def test_range_checks_independent_of_other_argument(capsys, argv, want):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == want and out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_jobs_below_1_exits_2(monkeypatch, capsys, value):
+    argv = ["tree-bound", "--n-max", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", value] + argv)
+    assert exc.value.code == 2
+    monkeypatch.setenv("CENSUS_JOBS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "CENSUS_JOBS" in capsys.readouterr().err
+
+
+def test_stem_table_n_below_m_minus_1_has_empty_classes(capsys):
+    from subtree_census.census import subtree_stats_kirchhoff
+    from subtree_census.graphs import (make_complete, make_complete_bipartite,
+                                       make_complete_split, make_empty)
+
+    for m, n in ((3, 1), (2, 0)):
+        code, out, _ = run_cli(capsys, "--deterministic", "stem-table",
+                               "--m", str(m), "--n", str(n))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == m * (m + 1) // 2
+        for row in rows:
+            if row["b"] > n:
+                assert row["class_size_split"] == row["class_size_bipartite"] == "0"
+                assert row["class_mean"] == ""
+        # the classes plus the n single B-vertices partition the subtrees
+        hosts = {"split": make_complete_split(m, n) if n else make_complete(m),
+                 "bipartite": make_complete_bipartite(m, n) if n else make_empty(m)}
+        for variant, host in hosts.items():
+            sizes = sum(int(row[f"class_size_{variant}"]) for row in rows)
+            assert sizes + n == subtree_stats_kirchhoff(host).count

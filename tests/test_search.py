@@ -13,6 +13,7 @@ from subtree_census.graphs import (
     make_cycle,
     make_path,
     make_star,
+    parse_graph6,
 )
 from subtree_census.search import (
     corpus_scan,
@@ -126,6 +127,30 @@ def test_corpus_scan_deterministic_across_jobs():
     assert rep1 == rep2
 
 
+# FXhew (order 7, 12 edges) is a graph whose mean drops when edge (2, 6) is
+# added: 316/55 -> 9232/1607.  It is the only decreasing non-edge.
+WITNESS_G6 = "FXhew"
+WITNESS_EDGE = (2, 6)
+WITNESS_MU = (Fraction(316, 55), Fraction(9232, 1607))
+
+
+def test_edge_addition_scan_finds_witness():
+    g = parse_graph6(WITNESS_G6)
+    assert (g.order, g.size) == (7, 12)
+    assert (mean(subtree_stats_bruteforce(g)),
+            mean(subtree_stats_bruteforce(g.add_edges([WITNESS_EDGE])))) == WITNESS_MU
+    assert edge_addition_scan(g) == [(WITNESS_EDGE, *WITNESS_MU)]
+
+
+def test_corpus_scan_reports_witnesses_across_jobs():
+    lines = [WITNESS_G6, "A_", WITNESS_G6]
+    rep = corpus_scan(lines, max_order=7)
+    assert rep.graphs_scanned == 3
+    assert rep.instances == ((7, WITNESS_G6, WITNESS_EDGE, *WITNESS_MU),) * 2
+    assert rep.min_order == 7
+    assert corpus_scan(lines, max_order=7, jobs=2) == rep
+
+
 def test_corpus_scan_rejects_large_max_order():
     with pytest.raises(TooLargeError):
         corpus_scan([], max_order=13)
@@ -187,6 +212,16 @@ def test_k_edge_scan_early_exit():
         assert early.witnesses == full.witnesses[:1]
 
 
+def test_k_edge_scan_early_exit_stops_at_witness():
+    g = parse_graph6(WITNESS_G6)
+    full = k_edge_scan(g, 1)
+    early = k_edge_scan(g, 1, early_exit=True)
+    assert full.examined == len(g.non_edges()) == 9
+    assert full.witnesses == (((WITNESS_EDGE,), *WITNESS_MU),)
+    assert early.examined == 6
+    assert early.witnesses == full.witnesses
+
+
 # ---------------------------------------------------------------------------
 # tree_bound_sweep
 
@@ -217,6 +252,15 @@ def test_tree_bound_jobs_equivalent():
     a = tree_bound_sweep(5, jobs=1)
     b = tree_bound_sweep(5, jobs=2)
     assert a == b
+
+
+def test_tree_bound_pool_path_n8():
+    import math
+    rep = tree_bound_sweep(8, jobs=2)
+    assert rep.passed
+    assert rep.trees_checked == sum(n ** (n - 2) for n in range(2, 9)) + 1 == 280393
+    for n in range(2, 9):
+        assert rep.equalities[n] == rep.paths[n] == math.factorial(n) // 2
 
 
 def test_tree_bound_cap():

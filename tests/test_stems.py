@@ -344,3 +344,18 @@ def test_threshold_empty_and_invalid_inputs():
     assert rep.comparisons == () and rep.n_star is None and not rep.persists
     with pytest.raises(ValueError):
         threshold_search(0, 5)
+
+
+@pytest.mark.parametrize("m,n_max,error", [
+    (0, 0, ValueError), (-3, -5, ValueError), (0, 5, ValueError),
+    (stems.STEM_M_MAX + 1, 0, TooLargeError), (stems.STEM_M_MAX + 1, 5, TooLargeError),
+])
+def test_threshold_checks_m_whatever_n_max(m, n_max, error):
+    with pytest.raises(error):
+        threshold_search(m, n_max)
+
+
+def test_stem_table_rejects_m_below_1():
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            stem_table("split", m)
