@@ -28,16 +28,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, NotATreeError, TooLargeError
 from .graphs import Edge, Graph, VertexSet, edge, mask_connected
+from .limits import EXPONENT_CAP  # noqa: F401  (callers read census.EXPONENT_CAP)
+from .limits import BRUTE_MAX, CENSUS_MAX, MARKED_MAX, SPANNING_MAX, check_exponent
 from .trees import subtree_stats_of_tree
-
-BRUTE_MAX = 12
-CENSUS_MAX = 22
-SPANNING_MAX = 40
-MARKED_MAX = 6
-
-# Pendant-star counts enter the statistics only through 2**s; refuse
-# exponents whose power would not fit in this many bits.
-EXPONENT_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -434,9 +427,7 @@ def check_leaf_count(s: int) -> None:
     """Reject a pendant-star size that `attach_pendant_stars` cannot take."""
     if s < 0:
         raise ValueError("negative leaf count")
-    if s > EXPONENT_CAP:
-        raise TooLargeError(
-            f"leaf count 2**{s} exceeds the {EXPONENT_CAP}-bit exponent cap")
+    check_exponent(s, f"leaf count 2**{s}")
 
 
 def attach_pendant_stars(census: MarkedCensus, leaf_counts: dict[int, int],

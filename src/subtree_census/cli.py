@@ -147,7 +147,10 @@ def _parse_chords(text: str) -> tuple[tuple[int, int], ...]:
 # Subcommands
 
 def cmd_mu(args) -> tuple[dict, list[dict] | None]:
-    if args.graph6 is not None or args.path is not None:
+    if args.family is None:
+        for flag in ("L", "s", "k", "chords"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies only to --family")
         if args.graph6 is not None:
             g = parse_graph6(args.graph6)
             params = {"graph6": args.graph6}
@@ -157,7 +160,7 @@ def cmd_mu(args) -> tuple[dict, list[dict] | None]:
         # the tree DP is linear, so trees skip the census size cap
         stats = tree_subtree_stats(g) if g.is_tree() else subtree_stats_kirchhoff(g)
         payload = _stats_payload(stats, g.order)
-    elif args.family is not None:
+    else:
         if args.L is None or args.s is None:
             raise ValueError("--family needs --L and --s")
         if args.k is not None and args.family != "fan":
@@ -177,8 +180,6 @@ def cmd_mu(args) -> tuple[dict, list[dict] | None]:
         payload = _stats_payload(stats, fam.n)
         params = {"family": args.family, "L": args.L, "s": args.s,
                   "k": args.k or 0, "chords": args.chords or ""}
-    else:
-        raise ValueError("one of --graph6 / --path / --family is required")
     return {"command": "mu", "parameters": params, "results": payload}, None
 
 
@@ -345,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("mu", help="subtree stats of one graph or family member")
-    p.add_argument("--graph6")
-    p.add_argument("--path", type=int)
-    p.add_argument("--family", choices=("broom", "fan", "chorded"))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph6")
+    source.add_argument("--path", type=int)
+    source.add_argument("--family", choices=("broom", "fan", "chorded"))
     p.add_argument("--L", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--k", type=int)

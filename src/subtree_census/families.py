@@ -22,8 +22,6 @@ from math import comb
 from typing import Callable, Iterable, NamedTuple
 
 from .census import (
-    CENSUS_MAX,
-    EXPONENT_CAP,
     MarkedCensus,
     SubtreeStats,
     attach_pendant_stars,
@@ -45,8 +43,7 @@ from .graphs import (
     make_chorded_broom_core,
     make_fan_broom_core,
 )
-
-CORE_MAX = CENSUS_MAX  # census feasibility bound on the materialized core
+from .limits import CENSUS_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +138,8 @@ def _required_core_census(core: Graph, marks: VertexSet, required: tuple[Edge, .
 
 
 def _check_core(length: int):
-    if length > CORE_MAX:
-        raise TooLargeError(f"core length {length} exceeds the census bound {CORE_MAX}")
+    if length > CENSUS_MAX:
+        raise TooLargeError(f"core length {length} exceeds the census bound {CENSUS_MAX}")
 
 
 def _star_extend(census: MarkedCensus, s: int, singletons: bool = True) -> SubtreeStats:
@@ -183,14 +180,12 @@ def path_mean_order(q: int) -> Fraction:
 # Anchored families
 
 def anchored_count_formula(n: int, s: int) -> int:
-    """Closed form 2**(2s) * C(n-2s, 2) for the anchored family size."""
+    """Closed form 2**(2s) * C(n-2s, 2) for the anchored family size; it
+    takes exactly the star sizes that `anchor_edge_stats` takes."""
     length = n - 2 * s
     if length < 2:
         raise ValueError("need n - 2s >= 2")
-    if s < 0:
-        raise ValueError("negative star size")
-    if 2 * s > EXPONENT_CAP:
-        raise TooLargeError("2**(2s) exceeds the exponent cap")
+    check_leaf_count(s)
     return (1 << (2 * s)) * comb(length, 2)
 
 
@@ -214,11 +209,10 @@ def anchor_edge_stats(length: int, s: int) -> SubtreeStats:
 def fan_anchor_stats(k: int) -> SubtreeStats:
     """Statistics of the subtrees of the bare fan graph (path prefix of k
     vertices plus an apex joined to all of them) that contain the first
-    prefix vertex, the last prefix vertex, and the apex."""
+    prefix vertex, the last prefix vertex, and the apex.  The fan has k + 1
+    vertices, so the census cap `CENSUS_MAX` bounds k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k + 1 > 12:
-        raise TooLargeError("fan graph capped at 12 vertices")
     apex = k
     pairs = [(i, i + 1) for i in range(k - 1)] + [(i, apex) for i in range(k)]
     fan = Graph.of(k + 1, pairs)
@@ -411,8 +405,8 @@ def density_trend(k: int, sequence: StarSizeSequence, ns: Iterable[int]) -> Tren
         if length < max(2, k + 2):
             skipped.append((n, f"core length {length} too short for {k} chords"))
             continue
-        if length > CORE_MAX:
-            skipped.append((n, f"core length {length} exceeds census bound {CORE_MAX}"))
+        if length > CENSUS_MAX:
+            skipped.append((n, f"core length {length} exceeds census bound {CENSUS_MAX}"))
             continue
         base = broom_stats(length, s)
         added = fan_broom_stats(length, s, k)

@@ -1,9 +1,9 @@
 """Immutable simple graphs, family-core constructors, contraction, isomorphism,
 and the graph6 codec.
 
-Vertices are dense integers 0..order-1.  Everything materialized here is small
-(at most MAX_MATERIALIZED vertices); the huge graphs handled elsewhere exist
-only through symbolic star sizes, see `families`.
+Vertices are dense integers 0..order-1.  The constructors build small graphs
+only (at most `limits.MAX_MATERIALIZED` vertices); the huge graphs handled
+elsewhere exist only through symbolic star sizes, see `families`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import Graph6Error, TooLargeError
-
-MAX_MATERIALIZED = 64
-ISO_MAX = 12
+from .limits import ISO_MAX, MAX_MATERIALIZED
 
 Edge = tuple[int, int]
 VertexSet = frozenset[int]

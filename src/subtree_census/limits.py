@@ -1,0 +1,29 @@
+"""Every size limit of the package, each defined once.
+
+Everything is exact, so the limits bound enumeration cost and integer
+size, never precision.  An input beyond one raises `TooLargeError` (CLI
+exit code 3).  The README "Size limits" table lists the same constants.
+"""
+
+from __future__ import annotations
+
+from .errors import TooLargeError
+
+BRUTE_MAX = 12           # vertices: explicit subtree listing, 2**n subsets each backtracked
+CENSUS_MAX = 22          # vertices: connected-subset census, so also family core length
+SPANNING_MAX = 40        # vertices: one Kirchhoff determinant of a whole graph
+MARKED_MAX = 6           # marked vertices per census: up to 2**6 cells per subset
+EXPONENT_CAP = 1 << 20   # bits of an exact power: 2**s per star, (a+1)**(n-b) per stem class
+MAX_MATERIALIZED = 64    # vertices: graphs built from family or host parameters
+ISO_MAX = 12             # vertices: backtracking isomorphism test
+SCAN_MAX = 20            # vertices: k-edge addition scan, one census per edge set
+CORPUS_MAX = 12          # vertices: graphs scanned from a graph6 corpus
+SWEEP_MAX = 9            # vertices: exhaustive labeled-tree sweep, n**(n-2) trees per order
+STEM_M_MAX = 64          # A-side vertices: the stem-class grid has about m**2/2 classes
+STEM_ENUM_MAX = 10       # a + b: Prüfer stem enumeration, the test oracle only
+
+
+def check_exponent(bits: int, what: str) -> None:
+    """Refuse an exact power of about `bits` bits beyond `EXPONENT_CAP`."""
+    if bits > EXPONENT_CAP:
+        raise TooLargeError(f"{what} exceeds the {EXPONENT_CAP}-bit exponent cap")

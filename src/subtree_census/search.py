@@ -22,11 +22,8 @@ from typing import Iterable, NamedTuple
 from .census import mean, subtree_stats_kirchhoff
 from .errors import Graph6Error, TooLargeError
 from .graphs import Edge, Graph, iter_graph6_lines
+from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
 from .trees import prufer_edges, subtree_stats_of_tree
-
-SCAN_MAX = 20
-CORPUS_MAX = 12
-SWEEP_MAX = 9
 
 
 class EdgeAdditionHit(NamedTuple):

@@ -19,14 +19,13 @@ from itertools import product
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .census import EXPONENT_CAP, Subtree
+from .census import Subtree
 from .errors import NoStemError, TooLargeError
 from .graphs import Edge, Graph, make_complete_bipartite, make_complete_split
+from .limits import STEM_ENUM_MAX, STEM_M_MAX, check_exponent
 from .trees import prufer_edges
 
 VARIANTS = ("split", "bipartite")
-STEM_ENUM_MAX = 10  # Prüfer enumeration bound on a+b (the test oracle only)
-STEM_M_MAX = 64     # A-side bound: the class grid has about m**2/2 classes
 
 
 @dataclass(frozen=True)
@@ -181,6 +180,7 @@ def extension_count(a: int, b: int, n: int) -> int:
     leaves off one of the a stem A-vertices."""
     if b > n:
         raise ValueError("stem uses more B-vertices than the host has")
+    check_exponent((n - b) * (a + 1).bit_length(), "(a+1)**(n-b)")
     return (a + 1) ** (n - b)
 
 
@@ -206,8 +206,7 @@ def _check_grid(m: int, n: int) -> None:
         raise ValueError("need m >= 1 and n >= 1")
     if m > STEM_M_MAX:
         raise TooLargeError(f"stem classes capped at {STEM_M_MAX} A-vertices")
-    if n.bit_length() > 64 or (n * (m + 1).bit_length()) > EXPONENT_CAP:
-        raise TooLargeError("(a+1)**(n-b) would exceed the exponent cap")
+    check_exponent(n * (m + 1).bit_length(), "(a+1)**(n-b)")
 
 
 def _classes(m: int, n: int) -> list[tuple[int, int]]:

@@ -329,3 +329,34 @@ def test_stem_table_n_below_m_minus_1_has_empty_classes(capsys):
         for variant, host in hosts.items():
             sizes = sum(int(row[f"class_size_{variant}"]) for row in rows)
             assert sizes + n == subtree_stats_kirchhoff(host).count
+
+
+def test_stem_table_power_beyond_exponent_cap_exits_3(capsys):
+    code, out, err = run_cli(capsys, "stem-table", "--m", "3", "--n", "600000")
+    assert code == 3
+    assert out == "" and "exponent cap" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--path", "10", "--family", "broom", "--L", "6", "--s", "2", "--k", "3"), "--family"),
+    (("--graph6", "A_", "--path", "3"), "--path"),
+    (("--family", "broom", "--graph6", "A_", "--L", "6", "--s", "2"), "--graph6"),
+])
+def test_mu_graph_sources_are_mutually_exclusive(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not allowed with argument" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--graph6", "A_", "--L", "6"), "--L"),
+    (("--path", "10", "--s", "2"), "--s"),
+    (("--path", "10", "--k", "3"), "--k"),
+    (("--graph6", "A_", "--chords", "0-3"), "--chords"),
+])
+def test_mu_family_flags_need_family(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "mu", *argv)
+    assert code == 2
+    assert out == "" and err == f"error: {flag} applies only to --family\n"

@@ -382,3 +382,28 @@ def test_family_report():
     assert rep.variants["fan"] == fan_broom_stats(6, 3, 2)
     rep2 = family_report(FamilyParams(7, 1, chords=((0, 3), (3, 6))))
     assert rep2.variants["chorded"] == chorded_broom_stats(7, 1, ((0, 3), (3, 6)))
+
+
+def test_anchored_formula_takes_the_star_sizes_of_the_census_route():
+    from subtree_census.census import EXPONENT_CAP
+
+    s = EXPONENT_CAP // 2 + 1
+    for length in (2, 3, 5):
+        assert anchored_count_formula(length + 2 * s, s) == anchor_edge_stats(length, s).count
+    for bad, error in ((EXPONENT_CAP + 1, TooLargeError), (-1, ValueError)):
+        with pytest.raises(error):
+            anchored_count_formula(4 + 2 * bad, bad)
+        with pytest.raises(error):
+            anchor_edge_stats(4, bad)
+
+
+def test_product_law_and_mean_identity_beyond_12_fan_vertices():
+    k = 12
+    part_fan = fan_anchor_stats(k)
+    assert 3 * part_fan.count <= part_fan.total_order <= (k + 1) * part_fan.count
+    for length in (k + 2, k + 3):
+        for s in (0, 2):
+            whole = anchored_family_stats(length, s, k)
+            part_edge = anchor_edge_stats(length - k + 1, s)
+            assert whole.count == part_fan.count * part_edge.count
+            assert mean(whole) == mean(part_edge) + mean(part_fan) - 2

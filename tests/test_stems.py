@@ -359,3 +359,18 @@ def test_stem_table_rejects_m_below_1():
     for m in (0, -2):
         with pytest.raises(ValueError):
             stem_table("split", m)
+
+
+def test_class_size_refuses_powers_beyond_the_exponent_cap():
+    # the same (m, n) that graph_mean_order refuses
+    with pytest.raises(TooLargeError):
+        graph_mean_order("split", 3, 600_000)
+    for a, b in ((3, 0), (3, 2), (1, 0)):
+        with pytest.raises(TooLargeError, match="exponent cap"):
+            class_size("split", 3, 600_000, a, b)
+    with pytest.raises(TooLargeError):
+        extension_count(3, 0, 600_000)
+    # just inside: 4**(n-b) has 2*(n-b) + 1 bits, counted as (n-b)*bits(4)
+    from subtree_census.census import EXPONENT_CAP
+    n = EXPONENT_CAP // 3
+    assert extension_count(3, 0, n) == 1 << (2 * n)
