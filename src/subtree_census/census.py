@@ -30,7 +30,7 @@ from .errors import InvariantViolation, NotATreeError, TooLargeError
 from .graphs import Edge, Graph, VertexSet, edge, mask_connected
 from .limits import EXPONENT_CAP  # noqa: F401  (callers read census.EXPONENT_CAP)
 from .limits import BRUTE_MAX, CENSUS_MAX, MARKED_MAX, SPANNING_MAX, check_exponent
-from .trees import subtree_stats_of_tree
+from .trees import adjacency_lists, subtree_stats_of_tree
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,7 @@ def tree_subtree_stats(t: Graph) -> SubtreeStats:
     """Exact stats for a tree via the rooted DP. Rejects non-trees."""
     if not t.is_tree():
         raise NotATreeError("input graph is not a tree")
-    adj = [t.neighbors(v) for v in range(t.order)]
-    c, s = subtree_stats_of_tree(t.order, adj)
+    c, s = subtree_stats_of_tree(t.order, adjacency_lists(t.order, t.edges))
     return SubtreeStats(c, s)
 
 

@@ -34,7 +34,6 @@ from .census import (
 from .errors import TooLargeError
 from .graphs import (
     Edge,
-    FamilyParams,
     Graph,
     VertexSet,
     edge,
@@ -213,6 +212,8 @@ def fan_anchor_stats(k: int) -> SubtreeStats:
     vertices, so the census cap `CENSUS_MAX` bounds k."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k + 1 > CENSUS_MAX:
+        raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     apex = k
     pairs = [(i, i + 1) for i in range(k - 1)] + [(i, apex) for i in range(k)]
     fan = Graph.of(k + 1, pairs)
@@ -412,23 +413,3 @@ def density_trend(k: int, sequence: StarSizeSequence, ns: Iterable[int]) -> Tren
         added = fan_broom_stats(length, s, k)
         rows.append(TrendRow(n, length, s, density(base, n), density(added, n)))
     return TrendReport(k, tuple(rows), tuple(skipped))
-
-
-# ---------------------------------------------------------------------------
-# Bundled per-parameter report (CLI convenience)
-
-@dataclass(frozen=True)
-class FamilyStats:
-    params: FamilyParams
-    base: SubtreeStats
-    variants: dict[str, SubtreeStats]
-
-
-def family_report(params: FamilyParams) -> FamilyStats:
-    variants: dict[str, SubtreeStats] = {}
-    base = broom_stats(params.core_length, params.star_size)
-    if params.k:
-        variants["fan"] = fan_broom_stats(params.core_length, params.star_size, params.k)
-    if params.chords:
-        variants["chorded"] = chorded_broom_stats(params.core_length, params.star_size, params.chords)
-    return FamilyStats(params, base, variants)

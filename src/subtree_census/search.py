@@ -23,7 +23,7 @@ from .census import mean, subtree_stats_kirchhoff
 from .errors import Graph6Error, TooLargeError
 from .graphs import Edge, Graph, iter_graph6_lines
 from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
-from .trees import prufer_edges, subtree_stats_of_tree
+from .trees import adjacency_lists, prufer_edges, subtree_stats_of_tree
 
 
 class EdgeAdditionHit(NamedTuple):
@@ -175,23 +175,17 @@ def _sweep_range(n: int, first_symbols: tuple[int, ...]) -> tuple[int, int, int,
     integer-only: 3*total >= (n+2)*count, equality exactly on paths, and a
     tree is a path exactly when its Prüfer symbols are pairwise distinct.
     """
+    if n < 3:
+        return 1, 1, 1, []  # the single tree is a path: mu = 1 or 4/3 = (n+2)/3
     checked = 0
     equalities = 0
     paths = 0
     violations: list = []
-    if n == 1:
-        return 1, 1, 1, []
-    if n == 2:
-        return 1, 1, 1, []  # K_2: mu = 4/3 = (2+2)/3
     bound = n + 2
     for head in first_symbols:
         for rest in product(range(n), repeat=n - 3):
             seq = (head,) + rest
-            edges = prufer_edges(seq, n)
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
+            adj = adjacency_lists(n, prufer_edges(seq, n))
             count, total = subtree_stats_of_tree(n, adj)
             checked += 1
             lhs = 3 * total
@@ -227,7 +221,7 @@ def tree_bound_sweep(n_max: int, jobs: int = 1) -> TreeBoundReport:
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
                 parts = pool.starmap(_sweep_range, args)
         else:
-            parts = [_sweep_range(n, tuple(range(max(1, n))))] if n >= 3 else [_sweep_range(n, ())]
+            parts = [_sweep_range(n, tuple(range(n)))]
         c = e = p = 0
         for pc, pe, pp, pv in parts:
             c += pc

@@ -1,5 +1,9 @@
 """Labeled-tree utilities: Prüfer codec, exhaustive enumeration, canonical
 forms, and an allocation-light subtree DP for sweeps over millions of trees.
+
+The canonical code and the subtree DP share one traversal, `_bfs_order`,
+and both fold each vertex into its parent in reverse BFS order, so neither
+recurses nor builds children lists.
 """
 
 from __future__ import annotations
@@ -86,47 +90,59 @@ def tree_centers(n: int, adj: list[list[int]]) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_code(root: int, parent: int, adj: list[list[int]]) -> tuple:
-    return tuple(sorted(_rooted_code(u, root, adj) for u in adj[root] if u != parent))
+def _bfs_order(adj: list[list[int]], root: int) -> tuple[list[int], list[int]]:
+    """The vertices reachable from `root` in BFS order, and each one's parent
+    (-1 for the root).  Every vertex comes after its parent, so a reverse
+    scan of `order` meets each vertex after all of its descendants."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    parent[root] = -1
+    return order, parent
 
 
-def tree_canonical_code(n: int, edges: Sequence[tuple[int, int]]) -> tuple:
-    """Label-independent canonical form (AHU encoding rooted at the center)."""
+def tree_canonical_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
+    """Label-independent canonical form: the AHU bracket code of the tree
+    rooted at its centre, or the sorted join of the two halves' codes when
+    the tree has two centres.
+
+    Each vertex's code, the sorted codes of its children in brackets, is
+    folded into its parent.  The centres fold into a virtual vertex n
+    instead, so the second centre stays out of the first one's code."""
     adj = adjacency_lists(n, edges)
     centers = tree_centers(n, adj)
-    if len(centers) == 1:
-        return (_rooted_code(centers[0], -1, adj),)
-    a, b = centers
-    ca = _rooted_code(a, b, adj)
-    cb = _rooted_code(b, a, adj)
-    return (ca, cb) if ca <= cb else (cb, ca)
+    order, parent = _bfs_order(adj, centers[0])
+    for c in centers:
+        parent[c] = n
+    parts: list[list[str]] = [[] for _ in range(n + 1)]
+    for v in reversed(order):
+        kids = parts[v]
+        if kids:
+            kids.sort()
+            parts[parent[v]].append("(" + "".join(kids) + ")")
+        else:
+            parts[parent[v]].append("()")
+    return "".join(sorted(parts[n]))
 
 
 def subtree_stats_of_tree(n: int, adj: list[list[int]]) -> tuple[int, int]:
-    """(count, total order) of the subtrees of a tree; same DP as
-    census.tree_subtree_stats, kept lean for tight enumeration loops."""
-    if n == 1:
-        return 1, 1
-    parent = [-1] * n
-    order = [0]
-    parent[0] = 0
-    for v in order:
-        for u in adj[v]:
-            if parent[u] == -1:
-                parent[u] = v
-                order.append(u)
+    """(count, total order) of the subtrees of a tree.
+
+    f[v] and g[v] count the subtrees whose vertex nearest the root is v and
+    sum their orders.  Folding a finished child v into its parent p lets
+    each subtree at p either skip v's branch or join one of v's f[v]
+    subtrees, which adds their orders."""
+    order, parent = _bfs_order(adj, 0)
     f = [1] * n
     g = [1] * n
-    for v in reversed(order):
-        children = [u for u in adj[v] if parent[u] == v]
-        if not children:
-            continue
-        prod = 1
-        for c in children:
-            prod *= 1 + f[c]
-        f[v] = prod
-        total = prod
-        for c in children:
-            total += g[c] * (prod // (1 + f[c]))
-        g[v] = total
+    for v in order[:0:-1]:
+        p = parent[v]
+        fv = f[v] + 1
+        g[p] = g[p] * fv + f[p] * g[v]
+        f[p] *= fv
     return sum(f), sum(g)

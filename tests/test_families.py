@@ -22,7 +22,6 @@ from subtree_census.families import (
     density_trend,
     fan_anchor_stats,
     fan_broom_stats,
-    family_report,
     find_chorded_decrease_witness,
     find_decrease_witnesses,
     geometric_star_sizes,
@@ -30,7 +29,6 @@ from subtree_census.families import (
     stepwise_deletion_check,
 )
 from subtree_census.graphs import (
-    FamilyParams,
     equal_span_chords,
     make_chorded_broom,
     make_double_broom,
@@ -161,6 +159,21 @@ def test_fan_anchor_small_cases():
     for k in range(2, 7):
         stats = fan_anchor_stats(k)
         assert 3 * stats.count <= stats.total_order <= (k + 1) * stats.count
+
+
+def test_fan_anchor_refuses_oversized_fans_before_building_them(monkeypatch):
+    from subtree_census import families
+    from subtree_census.limits import CENSUS_MAX
+
+    class NoGraph:
+        @staticmethod
+        def of(*args):
+            raise AssertionError("the fan was built before the size check")
+
+    monkeypatch.setattr(families, "Graph", NoGraph)
+    for k in (CENSUS_MAX, 200000):
+        with pytest.raises(TooLargeError, match=f"census capped at {CENSUS_MAX} vertices"):
+            fan_anchor_stats(k)
 
 
 def test_anchored_family_k1_reduces_to_anchor_edge():
@@ -371,17 +384,6 @@ def test_density_trend_moves_toward_two_thirds():
     report2 = density_trend(1, seq, range(20, 45))
     tail = [abs(row.sigma_added - Fraction(2, 3)) for row in report2.rows[-3:]]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Bundled report
-
-def test_family_report():
-    rep = family_report(FamilyParams(6, 3, k=2))
-    assert rep.base == broom_stats(6, 3)
-    assert rep.variants["fan"] == fan_broom_stats(6, 3, 2)
-    rep2 = family_report(FamilyParams(7, 1, chords=((0, 3), (3, 6))))
-    assert rep2.variants["chorded"] == chorded_broom_stats(7, 1, ((0, 3), (3, 6)))
 
 
 def test_anchored_formula_takes_the_star_sizes_of_the_census_route():

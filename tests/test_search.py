@@ -263,6 +263,11 @@ def test_tree_bound_pool_path_n8():
         assert rep.equalities[n] == rep.paths[n] == math.factorial(n) // 2
 
 
+def test_tree_bound_pool_sweep_equals_serial_sweep():
+    # the pool starts at n = 8, so smaller n_max compare the serial path with itself
+    assert tree_bound_sweep(8, jobs=2) == tree_bound_sweep(8, jobs=1)
+
+
 def test_tree_bound_cap():
     with pytest.raises(TooLargeError):
         tree_bound_sweep(10)

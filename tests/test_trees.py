@@ -92,6 +92,22 @@ def test_canonical_code_separates_shapes():
     assert len(codes) == 6
 
 
+def test_canonical_code_of_deep_trees():
+    n = 3000
+    path = [(v, v + 1) for v in range(n - 1)]
+    perm = list(range(n))
+    random.Random(3).shuffle(perm)
+    relabeled = [(perm[u], perm[v]) for u, v in path]
+    random.Random(4).shuffle(relabeled)
+    # a spider of the same order: three legs of 1000, 1000 and 999 vertices
+    spider = [(0, 1)] + [(v, v + 1) for v in range(1, n - 1) if v % 1000]
+    spider += [(0, 1001), (0, 2001)]
+    assert Graph.of(n, spider).is_tree()
+    code = tree_canonical_code(n, path)
+    assert tree_canonical_code(n, relabeled) == code
+    assert tree_canonical_code(n, spider) != code
+
+
 def test_fast_dp_agrees_with_bruteforce():
     rng = random.Random(11)
     for _ in range(100):
