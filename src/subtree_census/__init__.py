@@ -16,6 +16,7 @@ from .census import (
     spanning_tree_count,
     subtree_stats_bruteforce,
     subtree_stats_kirchhoff,
+    through_edge_stats,
     tree_subtree_stats,
 )
 from .errors import (
@@ -28,7 +29,6 @@ from .errors import (
 from .graphs import (
     FamilyParams,
     Graph,
-    contract,
     emit_graph6,
     equal_span_chords,
     is_isomorphic,

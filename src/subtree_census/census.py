@@ -11,6 +11,11 @@ graph does not.  Three routes to the same numbers:
   stripping degree-1 vertices), so the determinant is memoised per core.
 * `tree_subtree_stats` - linear rooted dynamic program, trees only.
 
+`through_edge_stats` folds over the connected supersets of an edge's ends
+only, grounding the determinant at both, and counts the subtrees through
+the edge: stats(G + e) = stats(G) + through_edge_stats(G + e, e), with no
+full census of G + e and no contracted graph (deletion-contraction).
+
 `marked_census` partitions the statistics by which marked vertices and how
 many tracked edges each subtree contains, reading every tracked-edge cell
 of a connected subset off one weighted determinant of its core (`_tau_mask`
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, NotATreeError, TooLargeError
@@ -75,15 +81,16 @@ class Subtree(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Connected-subset enumeration (recursive extension with a forbidden set;
-# every connected subset is produced exactly once, anchored at its minimum
-# vertex).  Each subset comes with its 2-core, the subset left after
-# deleting degree-1 vertices until none is left; a tree keeps only its
-# minimum vertex.
+# every connected subset is produced exactly once, grown from its minimum
+# vertex or from a seed).  Each subset comes with its 2-core, the subset
+# left after deleting degree-1 vertices outside the seed until none is
+# left; a tree keeps only its minimum vertex, or the seed.
 
-def _strip_leaves(adj: tuple[int, ...], mask: int) -> int:
-    """2-core of a connected subset that contains a cycle."""
+def _strip_leaves(adj: tuple[int, ...], mask: int, keep: int = 0) -> int:
+    """2-core of a connected subset that contains a cycle or the nonempty
+    connected set `keep`, whose vertices are never stripped."""
     leaves = []
-    m = mask
+    m = mask & ~keep
     while m:
         b = m & -m
         m ^= b
@@ -93,19 +100,24 @@ def _strip_leaves(adj: tuple[int, ...], mask: int) -> int:
     while leaves:
         b = leaves.pop()
         core ^= b
-        # the cycle survives, so the stripped leaf had one neighbour left
+        # the cycle or `keep` survives, so the stripped leaf had one neighbour left
         u = adj[b.bit_length() - 1] & core
-        if (adj[u.bit_length() - 1] & core).bit_count() == 1:
+        if not u & keep and (adj[u.bit_length() - 1] & core).bit_count() == 1:
             leaves.append(u)
     return core
 
 
-def _iter_connected_masks(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int]]:
-    """(mask, 2-core mask) for every connected subset."""
-    for v in range(n):
-        root = 1 << v
-        below = root - 1
-        stack = [(root, adj[v] & ~(root | below), below, root)]
+def _iter_connected_masks(adj: tuple[int, ...], n: int,
+                          seed: int = 0) -> Iterator[tuple[int, int]]:
+    """(mask, 2-core mask) for every connected subset or, with a nonempty
+    connected `seed` mask, for every connected superset of the seed, whose
+    core keeps the seed's vertices."""
+    starts = [(seed, 0)] if seed else [(1 << v, (1 << v) - 1) for v in range(n)]
+    for root, below in starts:
+        ext = 0
+        for v in _mask_vertices(root):
+            ext |= adj[v]
+        stack = [(root, ext & ~(root | below), below, root)]
         while stack:
             s, ext, forb, core = stack.pop()
             yield s, core
@@ -119,7 +131,7 @@ def _iter_connected_masks(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, i
                 au = adj[u.bit_length() - 1]
                 ext2 = (au | ext) & ~(forb2 | s2)
                 # a vertex joining by one edge is a leaf of s2: same core
-                core2 = core if (au & s).bit_count() == 1 else _strip_leaves(adj, s2)
+                core2 = core if (au & s).bit_count() == 1 else _strip_leaves(adj, s2, seed)
                 stack.append((s2, ext2, forb2, core2))
                 banned |= u
 
@@ -164,40 +176,38 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return m[n - 1][n - 1]
 
 
-def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None) -> int:
-    """Spanning-tree count of the induced subgraph on `mask`.
+def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None,
+              ground: int = 0) -> int:
+    """Laplacian determinant of the subgraph induced on `mask`, less the
+    rows and columns of the `ground` vertices (by default its lowest one).
 
-    With `weights`, returns the weighted count sum_T prod_{e in T} w(e)
-    (Matrix-Tree with edge weights); unweighted edges have weight 1.
+    Grounded at one vertex, this is the spanning-tree count (Matrix-Tree).
+    Grounded at both ends of an edge uv, it counts the spanning trees that
+    use uv: those of the contraction by uv, whose parallel edges all meet
+    the merged, deleted vertex.  With `weights`, a tree counts as
+    prod_{e in T} w(e); unweighted edges have weight 1.
     """
-    vs = _mask_vertices(mask)
-    k = len(vs)
-    if k == 1:
-        return 1
-    idx = {v: i for i, v in enumerate(vs)}
-    lap = [[0] * k for _ in range(k)]
+    vs = _mask_vertices(mask & ~(ground or mask & -mask))
     adj = g.adjacency
+    lap = []
     for i, u in enumerate(vs):
-        m = adj[u] & mask
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if v < u:
-                continue
-            j = idx[v]
-            w = 1 if weights is None else weights.get((u, v), 1)
-            lap[i][i] += w
-            lap[j][j] += w
-            lap[i][j] -= w
-            lap[j][i] -= w
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_det(minor)
+        a = adj[u] & mask
+        if weights is None:
+            row = [-(a >> v & 1) for v in vs]
+            row[i] = a.bit_count()
+        else:
+            w = {v: weights.get((u, v) if u < v else (v, u), 1) for v in _mask_vertices(a)}
+            row = [-w.get(v, 0) for v in vs]
+            row[i] = sum(w.values())
+        lap.append(row)
+    return _bareiss_det(lap) if lap else 1
 
 
-def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None) -> Iterator[tuple[int, int, int]]:
-    """(mask, core, tau_w(core)) for every connected subset `mask` and its
-    2-core `core`.
+def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None,
+                   seed: int = 0) -> Iterator[tuple[int, int, int]]:
+    """(mask, core, tau_w(core)) for every connected subset `mask` (with a
+    `seed`, every connected superset of it) and its 2-core `core`, with
+    `_tau_mask` grounded at the seed.
 
     A leaf's edge lies in every spanning tree, so tau_w(mask) is tau_w(core)
     times the weights of the stripped edges; unweighted, the two are equal.
@@ -205,14 +215,15 @@ def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None) -> Iterator
     reached by stripping enter the memo; a subset that is its own core is
     computed directly, so leafless (dense) graphs store nothing.
     """
+    tau_of = partial(_tau_mask, ground=seed) if seed else _tau_mask
     memo: dict[int, int] = {}
-    for mask, core in _iter_connected_masks(g.adjacency, g.order):
+    for mask, core in _iter_connected_masks(g.adjacency, g.order, seed):
         if core == mask:
-            yield mask, core, _tau_mask(g, mask, weights)
+            yield mask, core, tau_of(g, mask, weights)
             continue
         tau = memo.get(core)
         if tau is None:
-            tau = memo[core] = _tau_mask(g, core, weights)
+            tau = memo[core] = tau_of(g, core, weights)
         yield mask, core, tau
 
 
@@ -228,16 +239,33 @@ def spanning_tree_count(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Subtree statistics
 
-def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
-    """Sum spanning-tree counts over all connected vertex subsets."""
+def _stats_fold(g: Graph, seed: int = 0) -> SubtreeStats:
     if g.order > CENSUS_MAX:
         raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     count = 0
     total = 0
-    for mask, _, tau in _iter_core_tau(g):
+    for mask, _, tau in _iter_core_tau(g, seed=seed):
         count += tau
-        total += tau * bin(mask).count("1")
+        total += tau * mask.bit_count()
     return SubtreeStats(count, total)
+
+
+def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
+    """Sum spanning-tree counts over all connected vertex subsets."""
+    return _stats_fold(g)
+
+
+def through_edge_stats(g: Graph, u: int, v: int) -> SubtreeStats:
+    """Statistics of the subtrees of g that use its edge uv.
+
+    Each spans a connected superset S of {u, v} and is a spanning tree of
+    g[S] through uv, so the fold runs over those supersets only, with the
+    determinant grounded at u and v.  Deletion-contraction then gives
+    stats(g) = stats(g - uv) + through_edge_stats(g, u, v).
+    """
+    if edge(u, v) not in g.edges:
+        raise ValueError(f"({u}, {v}) is not an edge of the graph")
+    return _stats_fold(g, 1 << u | 1 << v)
 
 
 def _iter_spanning_trees(k: int, edges_in: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:

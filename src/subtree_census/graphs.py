@@ -1,5 +1,5 @@
-"""Immutable simple graphs, family-core constructors, contraction, isomorphism,
-and the graph6 codec.
+"""Immutable simple graphs, family-core constructors, isomorphism, and the
+graph6 codec.
 
 Vertices are dense integers 0..order-1.  The constructors build small graphs
 only (at most `limits.MAX_MATERIALIZED` vertices); the huge graphs handled
@@ -277,32 +277,6 @@ class FamilyParams:
     def n(self) -> int:
         """Total order, core plus both pendant stars."""
         return self.core_length + 2 * self.star_size
-
-
-# ---------------------------------------------------------------------------
-# Contraction
-
-def contract(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Identify a vertex set into one vertex, dropping loops and parallel edges.
-
-    The merged vertex takes the slot of the smallest identified vertex;
-    remaining vertices are renumbered in order.
-    """
-    s = set(vertices)
-    if not s:
-        raise ValueError("cannot contract the empty set")
-    if any(not 0 <= v < g.order for v in s):
-        raise ValueError("contraction set outside vertex range")
-    target = min(s)
-    survivors = sorted(v for v in range(g.order) if v == target or v not in s)
-    relabel = {v: i for i, v in enumerate(survivors)}
-    pairs = []
-    for u, v in g.edges:
-        mu = target if u in s else u
-        mv = target if v in s else v
-        if mu != mv:
-            pairs.append((relabel[mu], relabel[mv]))
-    return Graph.of(len(survivors), pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 * `edge_addition_scan` / `corpus_scan`: find single-edge additions that
   strictly decrease the mean subtree order, over one graph or over a
   newline-delimited graph6 stream.
-* `k_edge_scan`: the k-edge generalization with an explicit budget.
+* `k_edge_scan`: the k-edge generalization with an explicit budget.  It
+  censuses G once, then each set F = (f_1, ..., f_k) by deletion-contraction
+  of one edge at a time: stats(G + F) = stats(G) + the sum over i of
+  through_edge_stats(G + f_1 + ... + f_i, f_i).
 * `tree_bound_sweep`: verify mu(T) >= (n+2)/3 over every labeled tree,
   with equality exactly on paths.
 
@@ -19,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, NamedTuple
 
-from .census import mean, subtree_stats_kirchhoff
+from .census import mean, subtree_stats_kirchhoff, through_edge_stats
 from .errors import Graph6Error, TooLargeError
 from .graphs import Edge, Graph, iter_graph6_lines
 from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
@@ -127,7 +130,7 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
     Candidate sets are tried in lexicographic order.  `budget` bounds the
     number of candidate sets examined; running out of budget is reported
     distinctly from exhausting the space.  With `early_exit` the scan stops
-    at the first witness.
+    at the first witness.  Means are compared by cross-multiplication.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -137,7 +140,7 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
         raise ValueError("k-edge scan requires a connected graph")
     if k == 0:
         return KEdgeScanResult((), 0, True)
-    mu0 = mean(subtree_stats_kirchhoff(g))
+    base = subtree_stats_kirchhoff(g)
     witnesses = []
     examined = 0
     exhausted = True
@@ -146,9 +149,10 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
             exhausted = False
             break
         examined += 1
-        mu1 = mean(subtree_stats_kirchhoff(g.add_edges(fset)))
-        if mu1 < mu0:
-            witnesses.append(KEdgeWitness(fset, mu0, mu1))
+        after = sum((through_edge_stats(g.add_edges(fset[:i + 1]), *fset[i])
+                     for i in range(k)), base)
+        if after.total_order * base.count < base.total_order * after.count:
+            witnesses.append(KEdgeWitness(fset, mean(base), mean(after)))
             if early_exit:
                 break
     return KEdgeScanResult(tuple(witnesses), examined, exhausted)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence
 
+from .errors import NotATreeError
+
 
 def prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     """Edges of the labeled tree on 0..n-1 with Prüfer sequence `seq`."""
@@ -72,13 +74,19 @@ def adjacency_lists(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]
 
 
 def tree_centers(n: int, adj: list[list[int]]) -> list[int]:
-    """One or two central vertices, by iterative leaf stripping."""
+    """One or two central vertices, by iterative leaf stripping.  Raises
+    `NotATreeError` unless there are n - 1 edges and stripping reaches every
+    vertex; it never reaches a cycle's vertices."""
+    deg = [len(adj[v]) for v in range(n)]
+    if sum(deg) != 2 * (n - 1):
+        raise NotATreeError(f"{sum(deg) // 2} edges on {n} vertices")
     if n == 1:
         return [0]
-    deg = [len(adj[v]) for v in range(n)]
     layer = [v for v in range(n) if deg[v] == 1]
     removed = len(layer)
     while removed < n:
+        if not layer:
+            raise NotATreeError("the graph has a cycle")
         nxt = []
         for v in layer:
             for u in adj[v]:

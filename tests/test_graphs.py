@@ -8,7 +8,6 @@ from subtree_census.errors import Graph6Error, TooLargeError
 from subtree_census.graphs import (
     FamilyParams,
     Graph,
-    contract,
     emit_graph6,
     equal_span_chords,
     is_isomorphic,
@@ -104,25 +103,6 @@ def test_family_params():
         FamilyParams(1, 0)
     with pytest.raises(ValueError):
         FamilyParams(4, 0, chords=((2, 3),))
-
-
-def test_contract_basics():
-    assert contract(make_path(2), [0, 1]) == Graph.of(1, [])
-    tri = make_complete(3)
-    assert contract(tri, [0, 1]) == Graph.of(2, [(0, 1)])
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_contract_fan_core_collapses_to_single_chord(k):
-    for length in range(k + 2, 11):
-        fan, _ = make_fan_broom_core(length, k)
-        collapsed = contract(fan, range(k))
-        target_len = length - k + 1
-        if target_len == 2:
-            target = make_broom_core(2)[0]
-        else:
-            target = make_fan_broom_core(target_len, 1)[0]
-        assert is_isomorphic(collapsed, target)
 
 
 def test_is_isomorphic():

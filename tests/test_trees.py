@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from subtree_census.errors import NotATreeError
 from subtree_census.graphs import Graph
 from subtree_census.census import subtree_stats_bruteforce
 from subtree_census.trees import (
@@ -69,6 +70,21 @@ def test_tree_centers():
     # path on 4: centers 1,2
     adj = adjacency_lists(4, [(0, 1), (1, 2), (2, 3)])
     assert tree_centers(4, adj) == [1, 2]
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 1), (1, 2), (0, 2)]),            # a triangle: n edges
+    (4, [(0, 1), (1, 2), (0, 2)]),            # n - 1 edges: a triangle and a lone vertex
+    (5, [(0, 1), (1, 2), (2, 3), (3, 1)]),    # n - 1 edges: a pendant edge on a triangle and a lone vertex
+    (4, [(0, 1), (2, 3)]),                    # a forest
+    (1, [(0, 0)]),                            # a loop
+    (0, []),
+])
+def test_non_trees_raise_instead_of_looping(n, edges):
+    with pytest.raises(NotATreeError):
+        tree_centers(n, adjacency_lists(n, edges))
+    with pytest.raises(NotATreeError):
+        tree_canonical_code(n, edges)
 
 
 def test_canonical_code_invariant_under_relabeling():
