@@ -27,11 +27,9 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import (
-    FamilyParams,
     Graph,
     emit_graph6,
     equal_span_chords,
-    is_isomorphic,
     join,
     make_broom_core,
     make_chorded_broom,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, NotATreeError, TooLargeError
@@ -215,15 +214,14 @@ def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None,
     reached by stripping enter the memo; a subset that is its own core is
     computed directly, so leafless (dense) graphs store nothing.
     """
-    tau_of = partial(_tau_mask, ground=seed) if seed else _tau_mask
     memo: dict[int, int] = {}
     for mask, core in _iter_connected_masks(g.adjacency, g.order, seed):
         if core == mask:
-            yield mask, core, tau_of(g, mask, weights)
+            yield mask, core, _tau_mask(g, mask, weights, seed)
             continue
         tau = memo.get(core)
         if tau is None:
-            tau = memo[core] = tau_of(g, core, weights)
+            tau = memo[core] = _tau_mask(g, core, weights, seed)
         yield mask, core, tau
 
 

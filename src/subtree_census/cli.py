@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import families, search, stems
 from .census import SubtreeStats, mean, subtree_stats_kirchhoff, tree_subtree_stats
 from .errors import InvariantViolation, TooLargeError
-from .graphs import FamilyParams, make_path, parse_graph6
+from .graphs import make_path, parse_graph6
 
 CSV_SCHEMA = "# schema=1"
 
@@ -167,17 +167,13 @@ def cmd_mu(args) -> tuple[dict, list[dict] | None]:
             raise ValueError("--k applies only to --family fan")
         if args.chords is not None and args.family != "chorded":
             raise ValueError("--chords applies only to --family chorded")
-        chords = _parse_chords(args.chords) if args.chords else ()
-        fam = FamilyParams(args.L, args.s, k=args.k or 0, chords=chords)
         if args.family == "broom":
-            stats = families.broom_stats(fam.core_length, fam.star_size)
+            stats = families.broom_stats(args.L, args.s)
         elif args.family == "fan":
-            stats = families.fan_broom_stats(fam.core_length, fam.star_size, fam.k)
-        elif args.family == "chorded":
-            stats = families.chorded_broom_stats(fam.core_length, fam.star_size, fam.chords)
+            stats = families.fan_broom_stats(args.L, args.s, args.k or 0)
         else:
-            raise ValueError(f"unknown family {args.family}")
-        payload = _stats_payload(stats, fam.n)
+            stats = families.chorded_broom_stats(args.L, args.s, _parse_chords(args.chords or ""))
+        payload = _stats_payload(stats, args.L + 2 * args.s)
         params = {"family": args.family, "L": args.L, "s": args.s,
                   "k": args.k or 0, "chords": args.chords or ""}
     return {"command": "mu", "parameters": params, "results": payload}, None

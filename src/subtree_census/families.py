@@ -287,8 +287,8 @@ def geometric_star_sizes(s_max: int) -> list[int]:
 def find_decrease_witnesses(k: int, lengths: Iterable[int],
                             star_sizes: Iterable[int]) -> list[DecreaseWitness]:
     """All (length, star size) pairs in the given ranges where adding the k
-    fan chords strictly decreases the mean subtree order.  Exact rational
-    comparisons; scan order is lengths-major."""
+    fan chords strictly decreases the mean subtree order.  Means are compared
+    exactly, by cross-multiplication; scan order is lengths-major."""
     if k < 1:
         raise ValueError("k must be >= 1")
     lengths = list(lengths)
@@ -301,10 +301,10 @@ def find_decrease_witnesses(k: int, lengths: Iterable[int],
     witnesses = []
     for length in lengths:
         for s in sizes:
-            mu_base = mean(broom_stats(length, s))
-            mu_added = mean(fan_broom_stats(length, s, k))
-            if mu_added < mu_base:
-                witnesses.append(DecreaseWitness(length, s, mu_base, mu_added))
+            base = broom_stats(length, s)
+            added = fan_broom_stats(length, s, k)
+            if added.total_order * base.count < base.total_order * added.count:
+                witnesses.append(DecreaseWitness(length, s, mean(base), mean(added)))
     return witnesses
 
 
@@ -329,10 +329,10 @@ def find_chorded_decrease_witness(k: int, lengths: Iterable[int],
         for span in range(max_span, 1, -1):
             chords = equal_span_chords(length, k, span)
             for s in sizes:
-                mu_base = mean(broom_stats(length, s))
-                mu_added = mean(chorded_broom_stats(length, s, chords))
-                if mu_added < mu_base:
-                    return ChordWitness(length, s, span, chords, mu_base, mu_added)
+                base = broom_stats(length, s)
+                added = chorded_broom_stats(length, s, chords)
+                if added.total_order * base.count < base.total_order * added.count:
+                    return ChordWitness(length, s, span, chords, mean(base), mean(added))
     return None
 
 

@@ -1,5 +1,4 @@
-"""Immutable simple graphs, family-core constructors, isomorphism, and the
-graph6 codec.
+"""Immutable simple graphs, family-core constructors and the graph6 codec.
 
 Vertices are dense integers 0..order-1.  The constructors build small graphs
 only (at most `limits.MAX_MATERIALIZED` vertices); the huge graphs handled
@@ -14,7 +13,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import Graph6Error, TooLargeError
-from .limits import ISO_MAX, MAX_MATERIALIZED
+from .limits import MAX_MATERIALIZED
 
 Edge = tuple[int, int]
 VertexSet = frozenset[int]
@@ -74,9 +73,6 @@ class Graph:
 
     def non_edges(self) -> list[Edge]:
         return [e for e in combinations(range(self.order), 2) if e not in self.edges]
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(v) for v in range(self.order)))
 
     def is_connected(self) -> bool:
         return mask_connected(self.adjacency, (1 << self.order) - 1)
@@ -245,90 +241,6 @@ def make_fan_broom(length: int, s: int, k: int) -> Graph:
 def make_chorded_broom(length: int, s: int, chords: Iterable[tuple[int, int]]) -> Graph:
     core, hubs = make_chorded_broom_core(length, chords)
     return _attach_leaves(core, hubs, s)
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Symbolic description of a star-ended path family member.
-
-    `star_size` may be astronomically large; nothing here materializes the
-    leaves.  `chords` are extra core edges: for the fan variant they are
-    implied by `k`, for the chorded variant they are explicit.
-    """
-
-    core_length: int
-    star_size: int
-    k: int = 0
-    chords: tuple[Edge, ...] = ()
-
-    def __post_init__(self):
-        if self.core_length < 2:
-            raise ValueError("core length must be >= 2")
-        if self.star_size < 0:
-            raise ValueError("star size must be >= 0")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.k and self.core_length < self.k + 1:
-            raise ValueError("core length must be >= k+1")
-        for c in self.chords:
-            _validate_chord(self.core_length, c)
-
-    @property
-    def n(self) -> int:
-        """Total order, core plus both pendant stars."""
-        return self.core_length + 2 * self.star_size
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism (brute-force mapping search; intended for small cores only)
-
-def _refine_signature(g: Graph, v: int) -> tuple:
-    return (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by backtracking, capped at ISO_MAX vertices."""
-    if g1.order != g2.order:
-        return False
-    if g1.order > ISO_MAX:
-        raise TooLargeError(f"isomorphism test capped at {ISO_MAX} vertices")
-    if g1.size != g2.size or g1.degree_sequence() != g2.degree_sequence():
-        return False
-    n = g1.order
-    sig1 = [_refine_signature(g1, v) for v in range(n)]
-    sig2 = [_refine_signature(g2, v) for v in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return False
-    candidates = [[w for w in range(n) if sig2[w] == sig1[v]] for v in range(n)]
-    # Assign most-constrained vertices first.
-    order = sorted(range(n), key=lambda v: len(candidates[v]))
-    adj1, adj2 = g1.adjacency, g2.adjacency
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if (adj1[v] >> u & 1) != (adj2[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

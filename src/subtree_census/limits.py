@@ -15,7 +15,6 @@ SPANNING_MAX = 40        # vertices: one Kirchhoff determinant of a whole graph
 MARKED_MAX = 6           # marked vertices per census: up to 2**6 cells per subset
 EXPONENT_CAP = 1 << 20   # bits of an exact power: 2**s per star, (a+1)**(n-b) per stem class
 MAX_MATERIALIZED = 64    # vertices: graphs built from family or host parameters
-ISO_MAX = 12             # vertices: backtracking isomorphism test
 SCAN_MAX = 20            # vertices: k-edge addition scan, one rooted census per added edge
 CORPUS_MAX = 12          # vertices: graphs scanned from a graph6 corpus
 SWEEP_MAX = 9            # vertices: exhaustive labeled-tree sweep, n**(n-2) trees per order

@@ -384,7 +384,7 @@ def test_one_determinant_per_distinct_core(monkeypatch):
     calls = []
     tau = census._tau_mask
     monkeypatch.setattr(census, "_tau_mask",
-                        lambda g, mask, weights=None: calls.append(mask) or tau(g, mask, weights))
+                        lambda g, mask, *args, **kwargs: calls.append(mask) or tau(g, mask, *args, **kwargs))
     rng = random.Random(610)
     for g in (make_fan_broom(6, 3, 2), _leafy_graph(rng, make_cycle(5), 12)):
         calls.clear()

@@ -284,6 +284,21 @@ def test_mu_family_flag_mismatch_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,want", [
+    (("--family", "broom", "--L", "5", "--s", "-1"), 2),
+    (("--family", "broom", "--L", "1", "--s", "3"), 2),
+    (("--family", "fan", "--L", "3", "--s", "3", "--k", "-1"), 2),
+    (("--family", "chorded", "--L", "6", "--s", "3", "--chords", "0-4,4-0"), 2),
+    (("--family", "chorded", "--L", "6", "--s", "3", "--chords", "0-9"), 2),
+    (("--family", "chorded", "--L", "6", "--s", "3", "--chords", "0-1"), 2),
+    (("--family", "broom", "--L", "23", "--s", "3"), 3),
+])
+def test_mu_family_bad_values_exit_codes(capsys, argv, want):
+    code, out, err = run_cli(capsys, "mu", *argv)
+    assert code == want
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,want", [
     (("threshold", "--m", "100", "--n-max", "0"), 3),
     (("threshold", "--m", "0", "--n-max", "0"), 2),
     (("threshold", "--m", "-3", "--n-max", "-5"), 2),

@@ -29,7 +29,7 @@ def _readme_limits() -> dict[str, int]:
 def test_readme_size_limits_table_matches_limits_module():
     constants = {name: value for name, value in vars(limits).items()
                  if name.isupper() and isinstance(value, int)}
-    assert len(constants) == 12
+    assert len(constants) == 11
     assert _readme_limits() == constants
 
 

@@ -15,6 +15,7 @@ from subtree_census.graphs import (
     make_star,
     parse_graph6,
 )
+from subtree_census.limits import SWEEP_MAX
 from subtree_census.search import (
     corpus_scan,
     edge_addition_scan,
@@ -270,4 +271,4 @@ def test_tree_bound_pool_sweep_equals_serial_sweep():
 
 def test_tree_bound_cap():
     with pytest.raises(TooLargeError):
-        tree_bound_sweep(10)
+        tree_bound_sweep(SWEEP_MAX + 1)
