@@ -17,7 +17,7 @@ EXPONENT_CAP = 1 << 20   # bits of an exact power: 2**s per star, (a+1)**(n-b) p
 MAX_MATERIALIZED = 64    # vertices: graphs built from family or host parameters
 SCAN_MAX = 20            # vertices: k-edge addition scan, one rooted census per added edge
 CORPUS_MAX = 12          # vertices: graphs scanned from a graph6 corpus
-SWEEP_MAX = 9            # vertices: exhaustive labeled-tree sweep, n**(n-2) trees per order
+SWEEP_MAX = 16           # vertices: tree sweep, one DP per unlabeled tree (19,320 at n = 16)
 STEM_M_MAX = 64          # A-side vertices: the stem-class grid has about m**2/2 classes
 STEM_ENUM_MAX = 10       # a + b: Prüfer stem enumeration, the test oracle only
 

@@ -8,7 +8,9 @@
   of one edge at a time: stats(G + F) = stats(G) + the sum over i of
   through_edge_stats(G + f_1 + ... + f_i, f_i).
 * `tree_bound_sweep`: verify mu(T) >= (n+2)/3 over every labeled tree,
-  with equality exactly on paths.
+  with equality exactly on paths.  It runs the tree DP once per
+  isomorphism class, weighted by the class's n!/|Aut T| labelings; the
+  labeled Prüfer sweep `_sweep_range` survives as its test oracle.
 
 All comparisons are exact rationals; reports are deterministically ordered
 and independent of the worker count.
@@ -20,13 +22,14 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, NamedTuple
+from math import factorial
+from typing import Iterable, Iterator, NamedTuple
 
 from .census import mean, subtree_stats_kirchhoff, through_edge_stats
-from .errors import Graph6Error, TooLargeError
+from .errors import Graph6Error, InvariantViolation, TooLargeError
 from .graphs import Edge, Graph, iter_graph6_lines
 from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
-from .trees import adjacency_lists, prufer_edges, subtree_stats_of_tree
+from .trees import adjacency_lists, prufer_edges, prufer_sequence, subtree_stats_of_tree
 
 
 class EdgeAdditionHit(NamedTuple):
@@ -159,21 +162,121 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Lower-bound sweep over all labeled trees
+# Lower-bound sweep over the trees, one per isomorphism class
 
 @dataclass(frozen=True)
 class TreeBoundReport:
     n_max: int
     trees_checked: int
-    equalities: dict[int, int]   # n -> trees with mu == (n+2)/3
+    equalities: dict[int, int]   # n -> labeled trees with mu == (n+2)/3
     paths: dict[int, int]        # n -> labeled paths seen
     violations: tuple[tuple, ...]
     passed: bool
 
 
+def _forest_aut(kids: tuple[int, ...], aut: list[int]) -> int:
+    """|Aut| of a forest of rooted trees, given by ids with equal ids
+    adjacent: the product of the trees' own |Aut|, times k! for each tree
+    that occurs k times."""
+    result = 1
+    run = 0
+    for i, t in enumerate(kids):
+        run = run + 1 if i and kids[i - 1] == t else 1
+        result *= aut[t] * run
+    return result
+
+
+def _multisets(pool: list[int], order: list[int], total: int,
+               start: int = 0) -> Iterator[tuple[int, ...]]:
+    """Multisets of the trees in `pool` (ids sorted by order) with `total`
+    vertices in all, each once, as id tuples in pool order."""
+    if total == 0:
+        yield ()
+        return
+    for i in range(start, len(pool)):
+        t = pool[i]
+        if order[t] > total:
+            return
+        for rest in _multisets(pool, order, total - order[t], i):
+            yield (t,) + rest
+
+
+class _RootedTrees:
+    """The rooted trees that the free trees on at most n_max vertices are
+    built from, one per isomorphism class, generated by height and then by
+    order: all of order m and height h with m + h < n_max.
+
+    Tree t is kept as its order, its |Aut| and the parent of each vertex
+    1..order-1, numbered in preorder from the root 0.  A forest is a tuple
+    of tree ids with equal ids adjacent."""
+
+    def __init__(self, n_max: int):
+        self.order = [1]
+        self.aut = [1]
+        self.parents: list[list[int]] = [[]]
+        self.by_height = [[0]]  # by_height[h]: the ids of height h, by order
+        h = 1
+        while 2 * h + 2 <= n_max:
+            layer = []
+            for m in range(h + 1, n_max - h):
+                for kids in self.forests(m - 1, h - 1, 1):
+                    self.order.append(m)
+                    self.aut.append(_forest_aut(kids, self.aut))
+                    self.parents.append(self.join(kids))
+                    layer.append(len(self.order) - 1)
+            self.by_height.append(layer)
+            h += 1
+
+    def forests(self, total: int, h: int, at_least: int) -> Iterator[tuple[int, ...]]:
+        """Forests with `total` vertices of trees of height at most h, at
+        least `at_least` of them of height exactly h."""
+        order = self.order
+        top = self.by_height[h]
+        low = sorted((t for layer in self.by_height[:h] for t in layer),
+                     key=order.__getitem__)
+        for size in range(at_least * (h + 1), total + 1):
+            for high in _multisets(top, order, size):
+                if len(high) >= at_least:
+                    for rest in _multisets(low, order, total - size):
+                        yield high + rest
+
+    def join(self, kids: tuple[int, ...]) -> list[int]:
+        """Preorder parents of a new root with these children."""
+        parents = []
+        offset = 1
+        for c in kids:
+            parents.append(0)
+            parents.extend(offset + p for p in self.parents[c])
+            offset += self.order[c]
+        return parents
+
+
+def _tree_classes(n_max: int) -> Iterator[tuple[int, list[tuple[int, int]], int]]:
+    """(n, edges, |Aut|) for one tree of every isomorphism class on
+    1..n_max vertices, by its centre: a root with at least two children of
+    the greatest height, or two rooted trees of equal height joined at
+    their roots.  Otter (1948); Wright, Richmond, Odlyzko and McKay (1986)."""
+    rooted = _RootedTrees(n_max)
+    order = rooted.order
+    for n in range(1, n_max + 1):
+        if n == 1:
+            yield 1, [], 1
+        for radius in range(1, (n + 1) // 2):
+            for kids in rooted.forests(n - 1, radius - 1, 2):
+                parents = rooted.join(kids)
+                yield n, list(zip(parents, range(1, n))), _forest_aut(kids, rooted.aut)
+        for h in range(n // 2):
+            for pair in _multisets(rooted.by_height[h], order, n):
+                if len(pair) == 2:
+                    s, t = pair
+                    parents = rooted.parents[s] + [0] + [order[s] + p for p in rooted.parents[t]]
+                    yield n, list(zip(parents, range(1, n))), _forest_aut(pair, rooted.aut)
+
+
 def _sweep_range(n: int, first_symbols: tuple[int, ...]) -> tuple[int, int, int, list]:
-    """Sweep the labeled trees on n vertices whose Prüfer sequence starts
-    with one of `first_symbols` (all trees when n < 3).
+    """The labeled sweep, kept as the test oracle of `tree_bound_sweep`:
+    the labeled trees on n vertices whose Prüfer sequence starts with one
+    of `first_symbols` (all trees when n < 3).
 
     Returns (checked, equalities, paths, violations).  The bound check is
     integer-only: 3*total >= (n+2)*count, equality exactly on paths, and a
@@ -210,30 +313,47 @@ def _sweep_range(n: int, first_symbols: tuple[int, ...]) -> tuple[int, int, int,
 
 def tree_bound_sweep(n_max: int, jobs: int = 1) -> TreeBoundReport:
     """Check mu(T) >= (n+2)/3 on every labeled tree with at most n_max
-    vertices, and that equality holds exactly on paths."""
+    vertices, and that equality holds exactly on paths.
+
+    Both sides are invariant under relabeling, so the DP runs once per
+    isomorphism class, weighted by its n!/|Aut| labelings.  The weights of
+    each order must sum to n**(n-2) (Cayley), or `InvariantViolation` is
+    raised.  A violation names the Prüfer sequence of one labeled member of
+    its class.  `jobs` is accepted and ignored: the sweep is serial.
+    """
     if n_max > SWEEP_MAX:
         raise TooLargeError(f"labeled-tree sweep capped at {SWEEP_MAX} vertices")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    trees_checked = 0
-    equalities: dict[int, int] = {}
-    paths: dict[int, int] = {}
+    equalities = dict.fromkeys(range(1, n_max + 1), 0)
+    paths = dict.fromkeys(range(1, n_max + 1), 0)
+    labelings = dict.fromkeys(range(1, n_max + 1), 0)
     violations: list = []
-    for n in range(1, n_max + 1):
-        if n >= 8 and jobs > 1:
-            args = [(n, (h,)) for h in range(n)]
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                parts = pool.starmap(_sweep_range, args)
-        else:
-            parts = [_sweep_range(n, tuple(range(n)))]
-        c = e = p = 0
-        for pc, pe, pp, pv in parts:
-            c += pc
-            e += pe
-            p += pp
-            violations.extend(pv)
-        trees_checked += c
-        equalities[n] = e
-        paths[n] = p
-    return TreeBoundReport(n_max, trees_checked, equalities, paths,
+    for n, edges, aut in _tree_classes(n_max):
+        weight = factorial(n) // aut
+        labelings[n] += weight
+        adj = adjacency_lists(n, edges)
+        count, total = subtree_stats_of_tree(n, adj)
+        lhs = 3 * total
+        rhs = (n + 2) * count
+        is_path = max(map(len, adj)) <= 2
+        reasons = []
+        if lhs < rhs:
+            reasons.append("below bound")
+        elif lhs == rhs:
+            equalities[n] += weight
+            if not is_path:
+                reasons.append("equality off a path")
+        if is_path:
+            paths[n] += weight
+            if lhs != rhs:
+                reasons.append("path not tight")
+        violations.extend((n, prufer_sequence(n, edges), r) for r in reasons)
+    for n, weight in labelings.items():
+        if weight != n ** max(0, n - 2):
+            raise InvariantViolation(
+                f"tree classes on {n} vertices cover {weight} labeled trees, "
+                f"not n**(n-2) = {n ** max(0, n - 2)}")
+    violations.sort(key=lambda v: v[:2])
+    return TreeBoundReport(n_max, sum(labelings.values()), equalities, paths,
                            tuple(violations), not violations)

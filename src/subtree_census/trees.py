@@ -53,6 +53,31 @@ def prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def prufer_sequence(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Prüfer sequence of the labeled tree on 0..n-1 with these edges, the
+    inverse of `prufer_edges`: remove the smallest leaf n - 2 times and
+    record its neighbour each time, with the same pointer scan."""
+    if len(edges) != max(0, n - 1):
+        raise NotATreeError(f"{len(edges)} edges on {n} vertices")
+    adj = adjacency_lists(n, edges)
+    deg = [len(a) for a in adj]
+    seq = []
+    ptr = leaf = deg.index(1) if n > 2 else 0
+    for _ in range(n - 2):
+        deg[leaf] = 0
+        x = next(u for u in adj[leaf] if deg[u])
+        seq.append(x)
+        deg[x] -= 1
+        if deg[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    return tuple(seq)
+
+
 def iter_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
     """All n**(n-2) labeled trees on 0..n-1 as edge lists."""
     if n == 1:

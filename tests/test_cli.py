@@ -375,3 +375,11 @@ def test_mu_family_flags_need_family(capsys, argv, flag):
     code, out, err = run_cli(capsys, "mu", *argv)
     assert code == 2
     assert out == "" and err == f"error: {flag} applies only to --family\n"
+
+
+def test_tree_bound_cayley_violation_exits_4(monkeypatch, capsys):
+    from subtree_census import search
+    monkeypatch.setattr(search, "_forest_aut", lambda kids, aut: 1)
+    code, out, err = run_cli(capsys, "--deterministic", "tree-bound", "--n-max", "5")
+    assert code == 4 and out == ""
+    assert "internal error" in err and "n**(n-2)" in err

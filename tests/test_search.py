@@ -1,10 +1,13 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from subtree_census.census import mean, subtree_stats_bruteforce, subtree_stats_kirchhoff
+from subtree_census import search
 from subtree_census.errors import TooLargeError
 from subtree_census.graphs import (
     Graph,
@@ -17,11 +20,15 @@ from subtree_census.graphs import (
 )
 from subtree_census.limits import SWEEP_MAX
 from subtree_census.search import (
+    TreeBoundReport,
+    _sweep_range,
+    _tree_classes,
     corpus_scan,
     edge_addition_scan,
     k_edge_scan,
     tree_bound_sweep,
 )
+from subtree_census.trees import iter_labeled_trees, prufer_edges, tree_canonical_code
 
 from conftest import random_connected_graph
 
@@ -265,10 +272,68 @@ def test_tree_bound_pool_path_n8():
 
 
 def test_tree_bound_pool_sweep_equals_serial_sweep():
-    # the pool starts at n = 8, so smaller n_max compare the serial path with itself
+    # jobs is accepted and ignored: the sweep is serial
     assert tree_bound_sweep(8, jobs=2) == tree_bound_sweep(8, jobs=1)
 
 
 def test_tree_bound_cap():
     with pytest.raises(TooLargeError):
         tree_bound_sweep(SWEEP_MAX + 1)
+
+
+# A000055: unlabeled trees on n = 1, 2, ... vertices
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
+                    7741, 19320, 48629, 123867)
+
+
+def test_tree_bound_classes_match_labeled_sweep():
+    parts = {n: _sweep_range(n, tuple(range(n))) for n in range(1, 9)}
+    for n_max in range(1, 9):
+        orders = range(1, n_max + 1)
+        violations = tuple(v for n in orders for v in parts[n][3])
+        oracle = TreeBoundReport(n_max, sum(parts[n][0] for n in orders),
+                                 {n: parts[n][1] for n in orders},
+                                 {n: parts[n][2] for n in orders},
+                                 violations, not violations)
+        assert tree_bound_sweep(n_max) == oracle
+    assert oracle.trees_checked == 280393 and oracle.passed
+
+
+def test_tree_classes_are_a000055():
+    assert SWEEP_MAX <= len(FREE_TREE_COUNTS)
+    counts = Counter(n for n, _, _ in _tree_classes(SWEEP_MAX))
+    assert [counts[n] for n in range(1, SWEEP_MAX + 1)] == list(FREE_TREE_COUNTS[:SWEEP_MAX])
+
+
+def test_tree_classes_distinct_and_weighted_by_automorphisms():
+    # every class is a tree, no two are isomorphic, and n!/|Aut| is the
+    # number of labeled trees with its canonical code (orders <= 7, by brute force)
+    labeled = Counter((n, tree_canonical_code(n, edges))
+                      for n in range(1, 8) for edges in iter_labeled_trees(n))
+    classes = {}
+    for n, edges, aut in _tree_classes(7):
+        assert Graph.of(n, edges).is_tree()
+        key = (n, tree_canonical_code(n, edges))
+        assert key not in classes
+        classes[key] = math.factorial(n) // aut
+    assert classes == dict(labeled)
+
+
+def test_tree_bound_reports_labeled_member_of_offending_class(monkeypatch):
+    target = tree_canonical_code(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    real = search.subtree_stats_of_tree
+
+    def below_bound_on_target(n, adj):
+        count, total = real(n, adj)
+        edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+        if n == 6 and tree_canonical_code(n, edges) == target:
+            return count, 0
+        return count, total
+
+    monkeypatch.setattr(search, "subtree_stats_of_tree", below_bound_on_target)
+    rep = tree_bound_sweep(7)
+    assert not rep.passed
+    assert len(rep.violations) == 1
+    n, seq, reason = rep.violations[0]
+    assert (n, reason) == (6, "below bound")
+    assert tree_canonical_code(n, prufer_edges(seq, n)) == target

@@ -11,6 +11,7 @@ from subtree_census.trees import (
     adjacency_lists,
     iter_labeled_trees,
     prufer_edges,
+    prufer_sequence,
     subtree_stats_of_tree,
     tree_canonical_code,
     tree_centers,
@@ -51,6 +52,27 @@ def test_prufer_decode_random_large():
         n = rng.randint(3, 12)
         seq = tuple(rng.randrange(n) for _ in range(n - 2))
         assert sorted(prufer_edges(seq, n)) == sorted(naive_prufer_decode(seq, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_prufer_sequence_inverts_decode_exhaustive(n):
+    for seq in product(range(n), repeat=max(0, n - 2)):
+        edges = prufer_edges(seq, n)
+        assert prufer_sequence(n, edges) == seq
+        assert prufer_sequence(n, edges[::-1]) == seq  # edge order does not matter
+
+
+def test_prufer_sequence_random_large():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(8, 60)
+        seq = tuple(rng.randrange(n) for _ in range(n - 2))
+        assert prufer_sequence(n, prufer_edges(seq, n)) == seq
+
+
+def test_prufer_sequence_rejects_wrong_edge_count():
+    with pytest.raises(NotATreeError):
+        prufer_sequence(4, [(0, 1), (1, 2)])
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125), (6, 1296)])
