@@ -8,6 +8,7 @@ from .census import (
     SubtreeStats,
     attach_pendant_stars,
     census_with_required,
+    compare_means,
     density,
     enumerate_subtrees,
     marked_census,

@@ -66,6 +66,27 @@ def mean(stats: SubtreeStats) -> Fraction:
     return Fraction(stats.total_order, stats.count)
 
 
+def compare_means(t1: int, c1: int, t2: int, c2: int) -> int:
+    """sign(t1*c2 - t2*c1) for non-negative ints: with c1, c2 > 0, the sign
+    of t1/c1 - t2/c2, the comparison of two means.
+
+    A filter decides from the leading 64 bits first: after shifting every
+    operand right by the same amount, each true value lies in [x', x'+1),
+    so one product's lower bound above the other's upper bound proves the
+    sign.  Ties, near-ties and short operands take the exact products.
+    """
+    shift = max(t1.bit_length(), c1.bit_length(),
+                t2.bit_length(), c2.bit_length()) - 64
+    if shift > 0:
+        a, b, c, d = t1 >> shift, c2 >> shift, t2 >> shift, c1 >> shift
+        if a * b > (c + 1) * (d + 1):
+            return 1
+        if c * d > (a + 1) * (b + 1):
+            return -1
+    diff = t1 * c2 - t2 * c1
+    return (diff > 0) - (diff < 0)
+
+
 def density(stats: SubtreeStats, n: int) -> Fraction:
     """Mean subtree order divided by the graph order n."""
     if n <= 0:

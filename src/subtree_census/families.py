@@ -27,6 +27,7 @@ from .census import (
     attach_pendant_stars,
     census_with_required,
     check_leaf_count,
+    compare_means,
     density,
     marked_census,
     mean,
@@ -288,7 +289,7 @@ def find_decrease_witnesses(k: int, lengths: Iterable[int],
                             star_sizes: Iterable[int]) -> list[DecreaseWitness]:
     """All (length, star size) pairs in the given ranges where adding the k
     fan chords strictly decreases the mean subtree order.  Means are compared
-    exactly, by cross-multiplication; scan order is lengths-major."""
+    exactly, by `compare_means`; scan order is lengths-major."""
     if k < 1:
         raise ValueError("k must be >= 1")
     lengths = list(lengths)
@@ -303,7 +304,8 @@ def find_decrease_witnesses(k: int, lengths: Iterable[int],
         for s in sizes:
             base = broom_stats(length, s)
             added = fan_broom_stats(length, s, k)
-            if added.total_order * base.count < base.total_order * added.count:
+            if compare_means(added.total_order, added.count,
+                             base.total_order, base.count) < 0:
                 witnesses.append(DecreaseWitness(length, s, mean(base), mean(added)))
     return witnesses
 
@@ -331,7 +333,8 @@ def find_chorded_decrease_witness(k: int, lengths: Iterable[int],
             for s in sizes:
                 base = broom_stats(length, s)
                 added = chorded_broom_stats(length, s, chords)
-                if added.total_order * base.count < base.total_order * added.count:
+                if compare_means(added.total_order, added.count,
+                                 base.total_order, base.count) < 0:
                     return ChordWitness(length, s, span, chords, mean(base), mean(added))
     return None
 

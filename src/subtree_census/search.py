@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from .census import mean, subtree_stats_kirchhoff, through_edge_stats
+from .census import compare_means, mean, subtree_stats_kirchhoff, through_edge_stats
 from .errors import Graph6Error, InvariantViolation, TooLargeError
 from .graphs import Edge, Graph, iter_graph6_lines
 from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
@@ -133,7 +133,7 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
     Candidate sets are tried in lexicographic order.  `budget` bounds the
     number of candidate sets examined; running out of budget is reported
     distinctly from exhausting the space.  With `early_exit` the scan stops
-    at the first witness.  Means are compared by cross-multiplication.
+    at the first witness.  Means are compared by `compare_means`.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -154,7 +154,8 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
         examined += 1
         after = sum((through_edge_stats(g.add_edges(fset[:i + 1]), *fset[i])
                      for i in range(k)), base)
-        if after.total_order * base.count < base.total_order * after.count:
+        if compare_means(after.total_order, after.count,
+                         base.total_order, base.count) < 0:
             witnesses.append(KEdgeWitness(fset, mean(base), mean(after)))
             if early_exit:
                 break

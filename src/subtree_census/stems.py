@@ -19,7 +19,7 @@ from itertools import product
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .census import Subtree
+from .census import Subtree, compare_means
 from .errors import NoStemError, TooLargeError
 from .graphs import Edge, Graph, make_complete_bipartite, make_complete_split
 from .limits import STEM_ENUM_MAX, STEM_M_MAX, check_exponent
@@ -261,10 +261,8 @@ class SweepPoint(NamedTuple):
 
     @property
     def sign(self) -> int:
-        """sign(mu(split) - mu(bipartite)), by cross-multiplication."""
-        (ts, cs), (tb, cb) = self.split, self.bipartite
-        diff = ts * cb - tb * cs
-        return (diff > 0) - (diff < 0)
+        """sign(mu(split) - mu(bipartite)); the common lcm cancels."""
+        return compare_means(*self.split, *self.bipartite)
 
     def mean(self, variant: str) -> Fraction:
         total, count = {"split": self.split, "bipartite": self.bipartite}[variant]

@@ -12,6 +12,7 @@ from subtree_census.census import (
     SubtreeStats,
     attach_pendant_stars,
     census_with_required,
+    compare_means,
     density,
     enumerate_subtrees,
     iter_connected_subsets,
@@ -133,6 +134,93 @@ def test_methods_agree_hypothesis(data):
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])))
     g = Graph.of(n, pairs)
     assert subtree_stats_bruteforce(g) == subtree_stats_kirchhoff(g)
+
+
+def _cross_sign(t1, c1, t2, c2):
+    diff = t1 * c2 - t2 * c1
+    return (diff > 0) - (diff < 0)
+
+
+@st.composite
+def _operand(draw):
+    """0, a few bits, just past the 64-bit filter width, or up to 2**20 bits,
+    drawn as random bits or as the all-ones and power-of-two edge cases."""
+    bits = draw(st.one_of(st.just(0), st.integers(1, 8), st.integers(60, 140),
+                          st.integers(1, 2 ** 20)))
+    kind = draw(st.sampled_from(("random", "ones", "power")))
+    if kind == "ones":
+        return (1 << bits) - 1
+    if kind == "power":
+        return 1 << bits
+    return draw(st.randoms(use_true_random=False)).getrandbits(bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(_operand(), _operand(), _operand(), _operand()))
+def test_compare_means_equals_cross_multiplication(ops):
+    assert compare_means(*ops) == _cross_sign(*ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operand(), _operand(), _operand(), st.integers(0, 4), st.integers(-1, 1))
+def test_compare_means_ties_and_near_ties(x, y, z, slot, step):
+    """(x*y)/(x*z) = y/z exactly; then one operand moved by -1, 0 or +1."""
+    ops = [x * y, x * z, y, z]
+    if slot < 4:
+        ops[slot] = max(ops[slot] + step, 0)
+    assert compare_means(*ops) == _cross_sign(*ops)
+
+
+def _assert_all_arrangements(t1, c1, t2, c2):
+    """compare_means on the eight operand orders that name the same two
+    products, t1*c2 and t2*c1, in either factor order and on either side."""
+    want = _cross_sign(t1, c1, t2, c2)
+    for p, q in ((t1, c2), (c2, t1)):
+        for r, u in ((t2, c1), (c1, t2)):
+            assert compare_means(p, u, r, q) == want
+            assert compare_means(r, q, p, u) == -want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2 ** 63, 2 ** 64 - 2), st.integers(2 ** 63, 2 ** 64 - 2),
+       st.integers(1, 3000), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_compare_means_at_the_filter_bucket_edges(c, d, shift, ones):
+    """Operands whose low `shift` bits are all zeros or all ones sit at the
+    ends of their [x', x'+1) intervals, where the filter's bound is tight.
+    With leading bits (t1', c1', t2', c2') = (c, d, c, d+1), zeros under t1
+    and c2 and ones under c1 and t2, the leading bits suggest t1*c2 > t2*c1
+    when d < c; only the +1 terms of the bound keep the filter from it."""
+    low = (1 << shift) - 1
+    heads = (c, d, c, d + 1)
+    t1, c1, t2, c2 = ((h << shift) | (low if one else 0) for h, one in zip(heads, ones))
+    _assert_all_arrangements(t1, c1, t2, c2)
+    _assert_all_arrangements(c << shift, (d << shift) | low, (c << shift) | low, d + 1 << shift)
+
+
+class _CountingInt(int):
+    """An int that counts the full products taken of it."""
+    products = 0
+
+    def __mul__(self, other):
+        _CountingInt.products += 1
+        return int(self) * other
+
+
+def test_compare_means_filter_decides_without_full_products():
+    """Means 2**-40 apart relative, far above the 64-bit filter's resolution,
+    are decided from the leading bits alone."""
+    rng = random.Random(15)
+    for _ in range(50):
+        t, c = rng.getrandbits(4000) | 1 << 4000, rng.getrandbits(4000) | 1 << 4000
+        ops = [_CountingInt(x) for x in (t + (t >> 40), c, t, c)]
+        _CountingInt.products = 0
+        assert compare_means(*ops) == 1 and compare_means(*ops[2:], *ops[:2]) == -1
+        assert _CountingInt.products == 0
+    # an exact tie and operands of at most 64 bits take the full products
+    for ops in [(6 << 3000, 4 << 3000, 3 << 3000, 2 << 3000), (5, 3, 7, 4)]:
+        _CountingInt.products = 0
+        assert compare_means(*map(_CountingInt, ops)) == _cross_sign(*ops)
+        assert _CountingInt.products == 2
 
 
 def test_mu_bounds_random():

@@ -321,6 +321,20 @@ def test_threshold_signs_match_graph_means():
         assert list(rep.comparisons) == want
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_threshold_signs_match_plain_cross_multiplication(m):
+    """The leading-bits filter against the full products, on totals of 2k to
+    5.7k bits; at m = 1 the two hosts coincide and every sign is a tie."""
+    want = []
+    for p in mean_sweep(m, 2000):
+        (ts, cs), (tb, cb) = p.split, p.bipartite
+        diff = ts * cb - tb * cs
+        want.append((p.n, (diff > 0) - (diff < 0)))
+    assert threshold_search(m, 2000).comparisons == tuple(want)
+    if m == 1:
+        assert {sign for _, sign in want} == {0}
+
+
 @pytest.mark.parametrize("variant", ["split", "bipartite"])
 def test_sweep_means_match_census(variant):
     maker = make_complete_split if variant == "split" else make_complete_bipartite
