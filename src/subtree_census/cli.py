@@ -266,7 +266,7 @@ def cmd_scan(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_tree_bound(args) -> tuple[dict, list[dict]]:
-    report = search.tree_bound_sweep(args.n_max, jobs=args.jobs)
+    report = search.tree_bound_sweep(args.n_max)
     rows = [{
         "n": n,
         "equalities": report.equalities[n],

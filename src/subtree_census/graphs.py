@@ -57,13 +57,6 @@ class Graph:
             adj[v] |= 1 << u
         return tuple(adj)
 
-    def degree(self, v: int) -> int:
-        return bin(self.adjacency[v]).count("1")
-
-    def neighbors(self, v: int) -> list[int]:
-        m = self.adjacency[v]
-        return [u for u in range(self.order) if m >> u & 1]
-
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> Graph:
         return Graph.of(self.order, list(self.edges) + list(pairs))
 

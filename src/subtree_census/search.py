@@ -19,9 +19,10 @@ and independent of the worker count.
 from __future__ import annotations
 
 import multiprocessing
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -203,43 +204,23 @@ def _multisets(pool: list[int], order: list[int], total: int,
 
 
 class _RootedTrees:
-    """The rooted trees that the free trees on at most n_max vertices are
-    built from, one per isomorphism class, generated by height and then by
-    order: all of order m and height h with m + h < n_max.
+    """The rooted trees on 1..m_max vertices, one per isomorphism class,
+    generated by order: those of order m are a root over each multiset of
+    smaller ones with m - 1 vertices in all.
 
     Tree t is kept as its order, its |Aut| and the parent of each vertex
-    1..order-1, numbered in preorder from the root 0.  A forest is a tuple
-    of tree ids with equal ids adjacent."""
+    1..order-1, numbered in preorder from the root 0.  Ids are sorted by
+    order.  A forest is a tuple of tree ids with equal ids adjacent."""
 
-    def __init__(self, n_max: int):
+    def __init__(self, m_max: int):
         self.order = [1]
         self.aut = [1]
         self.parents: list[list[int]] = [[]]
-        self.by_height = [[0]]  # by_height[h]: the ids of height h, by order
-        h = 1
-        while 2 * h + 2 <= n_max:
-            layer = []
-            for m in range(h + 1, n_max - h):
-                for kids in self.forests(m - 1, h - 1, 1):
-                    self.order.append(m)
-                    self.aut.append(_forest_aut(kids, self.aut))
-                    self.parents.append(self.join(kids))
-                    layer.append(len(self.order) - 1)
-            self.by_height.append(layer)
-            h += 1
-
-    def forests(self, total: int, h: int, at_least: int) -> Iterator[tuple[int, ...]]:
-        """Forests with `total` vertices of trees of height at most h, at
-        least `at_least` of them of height exactly h."""
-        order = self.order
-        top = self.by_height[h]
-        low = sorted((t for layer in self.by_height[:h] for t in layer),
-                     key=order.__getitem__)
-        for size in range(at_least * (h + 1), total + 1):
-            for high in _multisets(top, order, size):
-                if len(high) >= at_least:
-                    for rest in _multisets(low, order, total - size):
-                        yield high + rest
+        for m in range(2, m_max + 1):
+            for kids in _multisets(list(range(len(self.order))), self.order, m - 1):
+                self.order.append(m)
+                self.aut.append(_forest_aut(kids, self.aut))
+                self.parents.append(self.join(kids))
 
     def join(self, kids: tuple[int, ...]) -> list[int]:
         """Preorder parents of a new root with these children."""
@@ -254,24 +235,22 @@ class _RootedTrees:
 
 def _tree_classes(n_max: int) -> Iterator[tuple[int, list[tuple[int, int]], int]]:
     """(n, edges, |Aut|) for one tree of every isomorphism class on
-    1..n_max vertices, by its centre: a root with at least two children of
-    the greatest height, or two rooted trees of equal height joined at
-    their roots.  Otter (1948); Wright, Richmond, Odlyzko and McKay (1986)."""
-    rooted = _RootedTrees(n_max)
+    1..n_max vertices, by its centroid (Jordan): a root whose branches all
+    have fewer than n/2 vertices, or two rooted trees of order n/2 joined at
+    their roots.  Every automorphism fixes the centroid or the central edge,
+    so |Aut| is that of the forest below it.  Wright, Richmond, Odlyzko and
+    McKay (1986)."""
+    rooted = _RootedTrees(n_max // 2)
     order = rooted.order
     for n in range(1, n_max + 1):
-        if n == 1:
-            yield 1, [], 1
-        for radius in range(1, (n + 1) // 2):
-            for kids in rooted.forests(n - 1, radius - 1, 2):
-                parents = rooted.join(kids)
-                yield n, list(zip(parents, range(1, n))), _forest_aut(kids, rooted.aut)
-        for h in range(n // 2):
-            for pair in _multisets(rooted.by_height[h], order, n):
-                if len(pair) == 2:
-                    s, t = pair
-                    parents = rooted.parents[s] + [0] + [order[s] + p for p in rooted.parents[t]]
-                    yield n, list(zip(parents, range(1, n))), _forest_aut(pair, rooted.aut)
+        small = list(range(bisect_right(order, (n - 1) // 2)))
+        for kids in _multisets(small, order, n - 1):
+            yield n, list(zip(rooted.join(kids), range(1, n))), _forest_aut(kids, rooted.aut)
+        if n % 2 == 0:
+            half = range(bisect_left(order, n // 2), bisect_right(order, n // 2))
+            for s, t in combinations_with_replacement(half, 2):
+                parents = rooted.parents[s] + [0] + [order[s] + p for p in rooted.parents[t]]
+                yield n, list(zip(parents, range(1, n))), _forest_aut((s, t), rooted.aut)
 
 
 def _sweep_range(n: int, first_symbols: tuple[int, ...]) -> tuple[int, int, int, list]:
@@ -312,7 +291,7 @@ def _sweep_range(n: int, first_symbols: tuple[int, ...]) -> tuple[int, int, int,
     return checked, equalities, paths, violations
 
 
-def tree_bound_sweep(n_max: int, jobs: int = 1) -> TreeBoundReport:
+def tree_bound_sweep(n_max: int) -> TreeBoundReport:
     """Check mu(T) >= (n+2)/3 on every labeled tree with at most n_max
     vertices, and that equality holds exactly on paths.
 
@@ -320,7 +299,7 @@ def tree_bound_sweep(n_max: int, jobs: int = 1) -> TreeBoundReport:
     isomorphism class, weighted by its n!/|Aut| labelings.  The weights of
     each order must sum to n**(n-2) (Cayley), or `InvariantViolation` is
     raised.  A violation names the Prüfer sequence of one labeled member of
-    its class.  `jobs` is accepted and ignored: the sweep is serial.
+    its class.
     """
     if n_max > SWEEP_MAX:
         raise TooLargeError(f"labeled-tree sweep capped at {SWEEP_MAX} vertices")

@@ -269,7 +269,8 @@ def test_connected_subsets_unique_and_complete():
             seen = {stack[0]}
             while stack:
                 v = stack.pop()
-                for u in g.neighbors(v):
+                for a, b in g.edges:
+                    u = b if a == v else a if b == v else None
                     if u in vs and u not in seen:
                         seen.add(u)
                         stack.append(u)
@@ -456,7 +457,7 @@ def _two_core(g, vs):
     """Naive 2-core of a connected vertex set; a tree keeps its minimum."""
     core = set(vs)
     while True:
-        leaves = {v for v in core if sum(u in core for u in g.neighbors(v)) <= 1}
+        leaves = {v for v in core if sum(v in e and set(e) <= core for e in g.edges) <= 1}
         if not leaves or leaves == core:
             break
         core -= leaves

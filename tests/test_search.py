@@ -256,26 +256,6 @@ def test_tree_bound_star_strictly_above():
     assert mean(stats) == Fraction(23, 11) > 2  # K_{1,3} vs (4+2)/3
 
 
-def test_tree_bound_jobs_equivalent():
-    a = tree_bound_sweep(5, jobs=1)
-    b = tree_bound_sweep(5, jobs=2)
-    assert a == b
-
-
-def test_tree_bound_pool_path_n8():
-    import math
-    rep = tree_bound_sweep(8, jobs=2)
-    assert rep.passed
-    assert rep.trees_checked == sum(n ** (n - 2) for n in range(2, 9)) + 1 == 280393
-    for n in range(2, 9):
-        assert rep.equalities[n] == rep.paths[n] == math.factorial(n) // 2
-
-
-def test_tree_bound_pool_sweep_equals_serial_sweep():
-    # jobs is accepted and ignored: the sweep is serial
-    assert tree_bound_sweep(8, jobs=2) == tree_bound_sweep(8, jobs=1)
-
-
 def test_tree_bound_cap():
     with pytest.raises(TooLargeError):
         tree_bound_sweep(SWEEP_MAX + 1)
@@ -317,6 +297,12 @@ def test_tree_classes_distinct_and_weighted_by_automorphisms():
         assert key not in classes
         classes[key] = math.factorial(n) // aut
     assert classes == dict(labeled)
+
+
+def test_tree_classes_pairwise_non_isomorphic_up_to_sweep_max():
+    codes = [(n, tree_canonical_code(n, edges)) for n, edges, _ in _tree_classes(SWEEP_MAX)]
+    assert len(codes) == sum(FREE_TREE_COUNTS[:SWEEP_MAX])
+    assert len(set(codes)) == len(codes)
 
 
 def test_tree_bound_reports_labeled_member_of_offending_class(monkeypatch):
