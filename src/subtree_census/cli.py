@@ -118,8 +118,7 @@ def _emit(record: dict, rows: list[dict], args) -> None:
         writer.writerows(rows)
 
 
-def _stats_payload(stats: SubtreeStats, n: int) -> dict:
-    mu = mean(stats)
+def _stats_payload(stats: SubtreeStats, mu: Fraction, n: int) -> dict:
     sigma = mu / n
     return {
         "order": str(n),
@@ -159,7 +158,7 @@ def cmd_mu(args) -> tuple[dict, list[dict] | None]:
             params = {"path": args.path}
         # the tree DP is linear, so trees skip the census size cap
         stats = tree_subtree_stats(g) if g.is_tree() else subtree_stats_kirchhoff(g)
-        payload = _stats_payload(stats, g.order)
+        payload = _stats_payload(stats, mean(stats), g.order)
     else:
         if args.L is None or args.s is None:
             raise ValueError("--family needs --L and --s")
@@ -168,12 +167,14 @@ def cmd_mu(args) -> tuple[dict, list[dict] | None]:
         if args.chords is not None and args.family != "chorded":
             raise ValueError("--chords applies only to --family chorded")
         if args.family == "broom":
-            stats = families.broom_stats(args.L, args.s)
+            cen = families.broom_census(args.L)
         elif args.family == "fan":
-            stats = families.fan_broom_stats(args.L, args.s, args.k or 0)
+            cen = families.fan_broom_census(args.L, args.k or 0)
         else:
-            stats = families.chorded_broom_stats(args.L, args.s, _parse_chords(args.chords or ""))
-        payload = _stats_payload(stats, args.L + 2 * args.s)
+            cen = families.chorded_broom_census(args.L, _parse_chords(args.chords or ""))
+        stats = families.star_stats(cen, args.s)
+        payload = _stats_payload(stats, families.star_mean(cen, args.s, stats),
+                                 args.L + 2 * args.s)
         params = {"family": args.family, "L": args.L, "s": args.s,
                   "k": args.k or 0, "chords": args.chords or ""}
     return {"command": "mu", "parameters": params, "results": payload}, None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterable, NamedTuple
 
 from .census import (
@@ -28,6 +28,7 @@ from .census import (
     census_with_required,
     check_leaf_count,
     compare_means,
+    coprime_fraction,
     density,
     marked_census,
     mean,
@@ -142,31 +143,78 @@ def _check_core(length: int):
         raise TooLargeError(f"core length {length} exceeds the census bound {CENSUS_MAX}")
 
 
-def _star_extend(census: MarkedCensus, s: int, singletons: bool = True) -> SubtreeStats:
+def star_stats(census: MarkedCensus, s: int, singletons: bool = True) -> SubtreeStats:
     """`s` pendant leaves at every marked vertex of `census`."""
     return attach_pendant_stars(census, dict.fromkeys(census.marked, s),
                                 include_leaf_singletons=singletons)
 
 
+def star_mean(census: MarkedCensus, s: int, stats: SubtreeStats) -> Fraction:
+    """The reduced mean of `stats = star_stats(census, s)`, with no gcd of
+    its big operands.
+
+    With h = 2 hubs and X = 2**s, count = P(X) and 2*total = Q(X) for the
+    quadratics P_j = sum of cell counts over the cells holding j hubs and
+    Q_j = sum of 2*total + j*s*count over them; the 2s leaf singletons add
+    2s to P_0 and 4s to Q_0.  A common divisor of P(X) and Q(X) divides
+    their resultant R, an integer of about 90 bits (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 6), so the gcd is taken modulo R.
+    R = 0 (P and Q share a factor) or h != 2 falls back to `Fraction`.
+    """
+    t, c = stats.total_order, stats.count
+    if len(census.marked) == 2:
+        p, q = [0, 0, 0], [0, 0, 0]
+        for (marks, _), cell in census.table.items():
+            j = len(marks)
+            p[j] += cell.count
+            q[j] += 2 * cell.total_order + j * s * cell.count
+        p[0] += 2 * s
+        q[0] += 4 * s
+        (a0, a1, a2), (b0, b1, b2) = p, q
+        r = abs((a2 * b0 - a0 * b2) ** 2 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1))
+        if r:
+            x = pow(2, s, r)
+            g = gcd(r, (a0 + (a1 + a2 * x) * x) % r, (b0 + (b1 + b2 * x) * x) % r)
+            g = gcd(g, t % g, c % g)
+            return coprime_fraction(t // g, c // g)
+    return Fraction(t, c)
+
+
 # ---------------------------------------------------------------------------
 # Family statistics
 
+def broom_census(length: int) -> MarkedCensus:
+    """Hub census of the double broom's path core."""
+    _check_core(length)
+    return _hub_census(*make_broom_core(length))
+
+
+def fan_broom_census(length: int, k: int) -> MarkedCensus:
+    """Hub census of the path core with the k fan chords (first k path
+    vertices to the far hub)."""
+    _check_core(length)
+    return _hub_census(*make_fan_broom_core(length, k))
+
+
+def chorded_broom_census(length: int, chords: Iterable[tuple[int, int]]) -> MarkedCensus:
+    """Hub census of the path core with arbitrary valid chords."""
+    _check_core(length)
+    return _hub_census(*make_chorded_broom_core(length, chords))
+
+
 def broom_stats(length: int, s: int) -> SubtreeStats:
     """Exact statistics of the double broom: path core + s leaves per hub."""
-    _check_core(length)
-    return _star_extend(_hub_census(*make_broom_core(length)), s)
+    return star_stats(broom_census(length), s)
 
 
 def fan_broom_stats(length: int, s: int, k: int) -> SubtreeStats:
-    """Double broom plus the k fan chords (first k path vertices to far hub)."""
-    _check_core(length)
-    return _star_extend(_hub_census(*make_fan_broom_core(length, k)), s)
+    """Double broom plus the k fan chords."""
+    return star_stats(fan_broom_census(length, k), s)
 
 
 def chorded_broom_stats(length: int, s: int, chords: Iterable[tuple[int, int]]) -> SubtreeStats:
     """Double broom plus arbitrary valid core chords."""
-    _check_core(length)
-    return _star_extend(_hub_census(*make_chorded_broom_core(length, chords)), s)
+    return star_stats(chorded_broom_census(length, chords), s)
 
 
 def path_mean_order(q: int) -> Fraction:
@@ -203,7 +251,7 @@ def anchor_edge_stats(length: int, s: int) -> SubtreeStats:
     _check_core(length)
     core, hubs = _anchor_core(length)
     anchor = edge(0, length - 1)
-    return _star_extend(_required_core_census(core, hubs, (anchor,)), s, singletons=False)
+    return star_stats(_required_core_census(core, hubs, (anchor,)), s, singletons=False)
 
 
 def fan_anchor_stats(k: int) -> SubtreeStats:
@@ -242,7 +290,7 @@ def anchored_family_stats(length: int, s: int, k: int) -> SubtreeStats:
     with_marks = _marked_core_census(core, marks).cell(marks)
     with_spine = _required_core_census(core, marks, spine).cell(marks, len(spine))
     cell = with_marks - with_spine
-    return _star_extend(MarkedCensus(hubs, frozenset(), {(hubs, 0): cell}), s, singletons=False)
+    return star_stats(MarkedCensus(hubs, frozenset(), {(hubs, 0): cell}), s, singletons=False)
 
 
 def chord_class_stats(length: int, s: int, chords: Iterable[tuple[int, int]],
@@ -262,7 +310,7 @@ def chord_class_stats(length: int, s: int, chords: Iterable[tuple[int, int]],
     trimmed = core.remove_edges(all_chords - used_set)
     # leaf singletons use no chord, so they belong only to the chordless class
     cen = _required_core_census(trimmed, hubs, tuple(sorted(used_set)))
-    return _star_extend(cen, s, singletons=not used_set)
+    return star_stats(cen, s, singletons=not used_set)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +349,15 @@ def find_decrease_witnesses(k: int, lengths: Iterable[int],
         check_leaf_count(s)
     witnesses = []
     for length in lengths:
+        base_census = broom_census(length)
+        added_census = fan_broom_census(length, k)
         for s in sizes:
-            base = broom_stats(length, s)
-            added = fan_broom_stats(length, s, k)
+            base = star_stats(base_census, s)
+            added = star_stats(added_census, s)
             if compare_means(added.total_order, added.count,
                              base.total_order, base.count) < 0:
-                witnesses.append(DecreaseWitness(length, s, mean(base), mean(added)))
+                witnesses.append(DecreaseWitness(length, s, star_mean(base_census, s, base),
+                                                 star_mean(added_census, s, added)))
     return witnesses
 
 
@@ -328,14 +379,19 @@ def find_chorded_decrease_witness(k: int, lengths: Iterable[int],
     sizes = list(star_sizes)
     for length in lengths:
         max_span = (length - 1) // k
+        if max_span < 2:
+            continue
+        base_census = broom_census(length)
         for span in range(max_span, 1, -1):
             chords = equal_span_chords(length, k, span)
+            added_census = chorded_broom_census(length, chords)
             for s in sizes:
-                base = broom_stats(length, s)
-                added = chorded_broom_stats(length, s, chords)
+                base = star_stats(base_census, s)
+                added = star_stats(added_census, s)
                 if compare_means(added.total_order, added.count,
                                  base.total_order, base.count) < 0:
-                    return ChordWitness(length, s, span, chords, mean(base), mean(added))
+                    return ChordWitness(length, s, span, chords, star_mean(base_census, s, base),
+                                        star_mean(added_census, s, added))
     return None
 
 

@@ -13,6 +13,7 @@ from subtree_census.census import (
     attach_pendant_stars,
     census_with_required,
     compare_means,
+    coprime_fraction,
     density,
     enumerate_subtrees,
     iter_connected_subsets,
@@ -637,3 +638,22 @@ def test_attach_stars_unequal_stars_vs_materialized_census():
 def test_stats_subtraction_guard():
     with pytest.raises(InvariantViolation):
         SubtreeStats(1, 1) - SubtreeStats(2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-(1 << 300), 1 << 300), st.integers(1, 1 << 300),
+       st.fractions(max_denominator=1 << 40))
+def test_coprime_fraction_behaves_like_fraction(p, q, other):
+    want = Fraction(p, q)
+    got = coprime_fraction(want.numerator, want.denominator)
+    assert type(got) is Fraction
+    assert got == want and not got != want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert (got < other) == (want < other) and (other < got) == (other < want)
+    assert (got <= want) and (want <= got) and not got < want
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: b - a, lambda a, b: a / (b or 1)):
+        assert op(got, other) == op(want, other)
+    assert -got == -want and abs(got) == abs(want) and got ** 2 == want ** 2
+    assert float(got) == float(want) and int(got) == int(want)

@@ -3,8 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subtree_census.census import (
+    MarkedCensus,
+    SubtreeStats,
     mean,
     subtree_stats_bruteforce,
     subtree_stats_kirchhoff,
@@ -26,6 +30,8 @@ from subtree_census.families import (
     find_decrease_witnesses,
     geometric_star_sizes,
     path_mean_order,
+    star_mean,
+    star_stats,
     stepwise_deletion_check,
 )
 from subtree_census.graphs import (
@@ -409,3 +415,59 @@ def test_product_law_and_mean_identity_beyond_12_fan_vertices():
             part_edge = anchor_edge_stats(length - k + 1, s)
             assert whole.count == part_fan.count * part_edge.count
             assert mean(whole) == mean(part_edge) + mean(part_fan) - 2
+
+
+# ---------------------------------------------------------------------------
+# Reduced means through the resultant
+
+def _two_hub_census(cells: dict[tuple[int, ...], tuple[int, int]]) -> MarkedCensus:
+    return MarkedCensus(frozenset({0, 1}), frozenset(),
+                        {(frozenset(hubs), 0): SubtreeStats(c, t) for hubs, (c, t) in cells.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_star_mean_is_reduced_on_random_two_hub_tables(data):
+    # a common factor in every cell makes the gcd of count and total nontrivial
+    factor = data.draw(st.sampled_from([1, 2, 3, 6, 12, 35]))
+    cells = {}
+    for hubs in ((), (0,), (1,), (0, 1)):
+        c = data.draw(st.integers(0, 400))
+        cells[hubs] = (factor * c, factor * (c + data.draw(st.integers(0, 4 * c + 1))))
+    s = data.draw(st.one_of(st.just(0), st.just(1), st.integers(0, 1 << 12)))
+    cen = _two_hub_census(cells)
+    stats = star_stats(cen, s)
+    assume(stats.count > 0)
+    got = star_mean(cen, s, stats)
+    want = Fraction(stats.total_order, stats.count)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_star_mean_falls_back_when_the_resultant_vanishes(monkeypatch):
+    from subtree_census import families
+
+    def no_shortcut(p, q):
+        raise AssertionError("resultant route taken with R = 0")
+
+    monkeypatch.setattr(families, "coprime_fraction", no_shortcut)
+    # every cell has mean 2, so at s = 0 Q = 2P = 2(1 + 3X + 2X^2): R = 0
+    shared = _two_hub_census({(): (1, 2), (0,): (3, 6), (0, 1): (2, 4)})
+    # no cell holds both hubs: P and Q are linear, and the formula gives R = 0
+    linear = _two_hub_census({(): (4, 6), (0,): (2, 6), (1,): (1, 3)})
+    for cen, s in ((shared, 0), (linear, 0), (linear, 5), (linear, 300)):
+        stats = star_stats(cen, s)
+        assert star_mean(cen, s, stats) == Fraction(stats.total_order, stats.count)
+
+
+def test_decrease_grid_witness_means_equal_census_mean():
+    sizes = geometric_star_sizes(1 << 16)
+    for k in (1, 2, 3):
+        hits = find_decrease_witnesses(k, range(k + 2, 23), sizes)
+        assert len(hits) == {1: 280, 2: 266, 3: 252}[k]
+        for w in hits:
+            for got, stats in ((w.mu_base, broom_stats(w.length, w.star_size)),
+                               (w.mu_added, fan_broom_stats(w.length, w.star_size, k))):
+                want = mean(stats)
+                assert type(got) is Fraction
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
