@@ -6,6 +6,7 @@ from .census import (
     MarkedCensus,
     Subtree,
     SubtreeStats,
+    added_edge_stats,
     attach_pendant_stars,
     census_with_required,
     compare_means,

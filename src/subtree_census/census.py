@@ -15,6 +15,10 @@ graph does not.  Three routes to the same numbers:
 only, grounding the determinant at both, and counts the subtrees through
 the edge: stats(G + e) = stats(G) + through_edge_stats(G + e, e), with no
 full census of G + e and no contracted graph (deletion-contraction).
+`added_edge_stats` gives those counts for every non-edge e of G at once,
+from one pass over G's connected subsets that carries each subset's
+2-forest counts (all-minors matrix-tree theorem); `through_edge_stats`
+is its test oracle.
 
 `marked_census` partitions the statistics by which marked vertices and how
 many tracked edges each subtree contains, reading every tracked-edge cell
@@ -136,12 +140,25 @@ def _strip_leaves(adj: tuple[int, ...], mask: int, keep: int = 0) -> int:
     return core
 
 
-def _iter_connected_masks(adj: tuple[int, ...], n: int,
-                          seed: int = 0) -> Iterator[tuple[int, int]]:
+def _iter_connected_masks(adj: tuple[int, ...], n: int, seed: int = 0,
+                          within: int | None = None) -> Iterator[tuple[int, int]]:
     """(mask, 2-core mask) for every connected subset or, with a nonempty
     connected `seed` mask, for every connected superset of the seed, whose
-    core keeps the seed's vertices."""
-    starts = [(seed, 0)] if seed else [(1 << v, (1 << v) - 1) for v in range(n)]
+    core keeps the seed's vertices.  Without a seed, `within` limits the
+    subsets to that vertex mask.
+
+    The order is depth first: a subset S that is not a single vertex comes
+    after its parent, S less the vertex that joined last, and every subset
+    in between grew from the parent by a vertex outside S.  Without a seed,
+    the subsets come grouped by minimum vertex, the highest minimum first.
+    """
+    if seed:
+        starts = [(seed, 0)]
+    else:
+        full = (1 << n) - 1
+        within = full if within is None else within
+        starts = [(1 << v, (1 << v) - 1 | full & ~within)
+                  for v in reversed(_mask_vertices(within))]
     for root, below in starts:
         ext = 0
         for v in _mask_vertices(root):
@@ -294,6 +311,152 @@ def through_edge_stats(g: Graph, u: int, v: int) -> SubtreeStats:
     if edge(u, v) not in g.edges:
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
     return _stats_fold(g, 1 << u | 1 << v)
+
+
+def _forest_table(adj: tuple[int, ...], n: int, mask: int) -> tuple[int, list[int]]:
+    """(tau, F) for the connected subset `mask`: its spanning-tree count and,
+    in F[x*n + y] = F[y*n + x] for x != y in `mask`, the spanning 2-forests
+    that separate x from y (other entries 0).
+
+    With M the adjugate of the Laplacian grounded at r = min(mask),
+    F(r, x) = M_xx and F(x, y) = M_xx + M_yy - 2 M_xy (all-minors
+    matrix-tree theorem, Chaiken 1982).  M comes from fraction-free
+    Gauss-Jordan elimination of [L | I], whose pivots are the leading
+    principal minors of a positive definite matrix, the last one tau.
+    Before step k, column k of I is zero but for row k's entry, the
+    previous pivot, and L's columns up to k are never read again: each row
+    is kept as [L row | M row] and step k updates its slice k+1 .. m+k.
+    """
+    r, *vs = _mask_vertices(mask)
+    m = len(vs)
+    rows = []
+    for i, u in enumerate(vs):
+        a = adj[u] & mask
+        row = [-(a >> v & 1) for v in vs] + [0] * m
+        row[i] = a.bit_count()
+        rows.append(row)
+    prev = 1
+    for k in range(m):
+        row_k = rows[k]
+        pivot = row_k[k]
+        if pivot <= 0:
+            raise InvariantViolation("non-positive Gauss-Jordan pivot")
+        row_k[m + k] = prev
+        hi = m + k + 1
+        seg = row_k[k + 1:hi]
+        for i, row_i in enumerate(rows):
+            if i != k:
+                a = row_i[k]
+                row_i[k + 1:hi] = [(pivot * x - a * y) // prev
+                                   for x, y in zip(row_i[k + 1:hi], seg)]
+        prev = pivot
+    table = [0] * (n * n)
+    for i, x in enumerate(vs):
+        row_i = rows[i]
+        mxx = row_i[m + i]
+        table[r * n + x] = table[x * n + r] = mxx
+        for j in range(i):
+            y = vs[j]
+            table[x * n + y] = table[y * n + x] = mxx + rows[j][m + j] - 2 * row_i[m + j]
+    return prev, table
+
+
+def added_edge_stats(g: Graph) -> tuple[SubtreeStats, dict[Edge, SubtreeStats]]:
+    """stats(g) and, for every non-edge uv, the statistics of the subtrees
+    of g + uv that use uv, from one pass over the connected subsets of g.
+
+    Less uv, such a subtree on the vertex set S is a spanning 2-forest of
+    g[S] that separates u from v.  So uv collects F_S(u, v), its number of
+    such forests, with weight (1, |S|) from every S that holds u and v and
+    induces either a connected graph or two components A and B with u in A
+    and v in B, where F_S = tau(A) tau(B).
+
+    Connected subsets come from `_iter_connected_masks`, each carrying its
+    table F_S (`_forest_table`).  A vertex w joining S by one edge to p
+    keeps tau and every entry within S, and F(w, x) = F(p, x) + tau(S);
+    a vertex that closes a cycle rebuilds the table.  For the two-component
+    sets, each connected A meets the connected subsets B of g minus A, its
+    neighbours and every vertex up to min(A); subsets with a higher minimum
+    come first, so tau(B) = tau(core of B) is known by then.
+    """
+    n = g.order
+    if n > CENSUS_MAX:
+        raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
+    adj = g.adjacency
+    full = (1 << n) - 1
+    # far[x]: the vertices above x that are not its neighbours
+    far = [full & ~adj[x] & ~((2 << x) - 1) for x in range(n)]
+    # through[x*n + y] + through[y*n + x] for x < y, by count and total order
+    pair_count = [0] * (n * n)
+    pair_total = [0] * (n * n)
+    count = total = 0
+    taus: dict[int, int] = {}  # tau of every subset that is its own core
+    b_sides: dict[int, list[tuple[int, int, int]]] = {}  # by the mask B ranges over
+    path: list[tuple[int, list[int], int, list[int], int]] = []
+    for mask, core in _iter_connected_masks(adj, n):
+        # the entries of `path` are the current subset's ancestors
+        while path and path[-1][0] & ~mask:
+            path.pop()
+        if path:
+            parent, vs, tau, table, near = path[-1]
+            w = (mask ^ parent).bit_length() - 1
+            hook = adj[w] & parent
+            if hook & (hook - 1):
+                tau, table = _forest_table(adj, n, mask)
+            else:
+                p = hook.bit_length() - 1
+                table = table[:]
+                for x in vs:
+                    table[w * n + x] = table[x * n + w] = table[p * n + x] + tau
+            vs = vs + [w]
+            near |= adj[w]
+        else:
+            w = mask.bit_length() - 1
+            vs, tau, table, near = [w], 1, [0] * (n * n), adj[w]
+        path.append((mask, vs, tau, table, near))
+        if core == mask:
+            taus[mask] = tau
+        size = len(vs)
+        count += tau
+        total += tau * size
+        for x in vs:
+            rest = mask & far[x]
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                i = x * n + b.bit_length() - 1
+                f = table[i]
+                pair_count[i] += f
+                pair_total[i] += f * size
+        low = mask & -mask
+        outside = full & ~(mask | near) & ~((low << 1) - 1)
+        if not outside:
+            continue
+        sides = b_sides.get(outside)
+        if sides is None:
+            # per vertex y: the sums of tau(B) and tau(B)|B| over the B holding y
+            b_count = [0] * n
+            b_total = [0] * n
+            for bmask, bcore in _iter_connected_masks(adj, n, within=outside):
+                t = taus[bcore]
+                tb = t * bmask.bit_count()
+                for y in _mask_vertices(bmask):
+                    b_count[y] += t
+                    b_total[y] += tb
+            sides = b_sides[outside] = [(y, b_count[y], b_total[y])
+                                        for y in _mask_vertices(outside)]
+        for y, bc, bt in sides:
+            c = tau * bc
+            t = tau * bt + c * size
+            for x in vs:
+                pair_count[x * n + y] += c
+                pair_total[x * n + y] += t
+    through = {}
+    for x, y in g.non_edges():
+        i, j = x * n + y, y * n + x
+        through[(x, y)] = SubtreeStats(pair_count[i] + pair_count[j],
+                                       pair_total[i] + pair_total[j])
+    return SubtreeStats(count, total), through
 
 
 def _iter_spanning_trees(k: int, edges_in: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:

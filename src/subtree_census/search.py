@@ -3,10 +3,12 @@
 * `edge_addition_scan` / `corpus_scan`: find single-edge additions that
   strictly decrease the mean subtree order, over one graph or over a
   newline-delimited graph6 stream.
-* `k_edge_scan`: the k-edge generalization with an explicit budget.  It
-  censuses G once, then each set F = (f_1, ..., f_k) by deletion-contraction
-  of one edge at a time: stats(G + F) = stats(G) + the sum over i of
-  through_edge_stats(G + f_1 + ... + f_i, f_i).
+* `k_edge_scan`: the k-edge generalization with an explicit budget.  For
+  each prefix P = (f_1, ..., f_{k-1}) of the candidate sets, one
+  `added_edge_stats` pass over G + P gives stats(G + P) and the statistics
+  of the subtrees through every further edge e, so
+  stats(G + P + e) = stats(G + P) + through(G + P + e, e) for all e at
+  once; for k = 1 that is one pass per graph.
 * `tree_bound_sweep`: verify mu(T) >= (n+2)/3 over every labeled tree,
   with equality exactly on paths.  It runs the tree DP once per
   isomorphism class, weighted by the class's n!/|Aut T| labelings; the
@@ -26,7 +28,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from .census import compare_means, mean, subtree_stats_kirchhoff, through_edge_stats
+from .census import added_edge_stats, compare_means, mean, subtree_stats_kirchhoff
 from .errors import Graph6Error, InvariantViolation, TooLargeError
 from .graphs import Edge, Graph, iter_graph6_lines
 from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
@@ -87,6 +89,8 @@ def corpus_scan(lines: Iterable[str], max_order: int = CORPUS_MAX,
     """
     if max_order > CORPUS_MAX:
         raise TooLargeError(f"corpus scan capped at order {CORPUS_MAX}")
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
     entries: list[tuple[str, Graph]] = []
     errors: list[tuple[int, str]] = []
     skipped: list[tuple[int, str]] = []
@@ -134,7 +138,10 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
     Candidate sets are tried in lexicographic order.  `budget` bounds the
     number of candidate sets examined; running out of budget is reported
     distinctly from exhausting the space.  With `early_exit` the scan stops
-    at the first witness.  Means are compared by `compare_means`.
+    at the first witness.  Means are compared by `compare_means`.  The
+    candidates sharing their first k - 1 edges P are consecutive and take
+    their statistics from one `added_edge_stats` pass over g + P, run when
+    the first of them is examined.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -144,17 +151,23 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
         raise ValueError("k-edge scan requires a connected graph")
     if k == 0:
         return KEdgeScanResult((), 0, True)
-    base = subtree_stats_kirchhoff(g)
+    # for k = 1 the one pass, over g itself, gives stats(g) as well
+    base = subtree_stats_kirchhoff(g) if k > 1 else None
     witnesses = []
     examined = 0
     exhausted = True
+    prefix = None
     for fset in combinations(sorted(g.non_edges()), k):
         if budget is not None and examined >= budget:
             exhausted = False
             break
         examined += 1
-        after = sum((through_edge_stats(g.add_edges(fset[:i + 1]), *fset[i])
-                     for i in range(k)), base)
+        if fset[:-1] != prefix:
+            prefix = fset[:-1]
+            start, through = added_edge_stats(g.add_edges(prefix))
+            if base is None:
+                base = start
+        after = start + through[fset[-1]]
         if compare_means(after.total_order, after.count,
                          base.total_order, base.count) < 0:
             witnesses.append(KEdgeWitness(fset, mean(base), mean(after)))

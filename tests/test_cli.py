@@ -249,6 +249,16 @@ def test_int_str_matches_str():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_scan_max_order_below_1_exits_2(tmp_path, capsys, max_order):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("FXhew\n")
+    code, out, err = run_cli(capsys, "scan", "--file", str(corpus), "--max-order", max_order)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "max_order" in err
+
+
 def test_scan_missing_file_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "scan", "--file", str(tmp_path / "missing.g6"))
     assert code == 2

@@ -1,9 +1,10 @@
 """Edge-addition scans by deletion-contraction, against full censuses.
 
 stats(G + e) = stats(G) + through_edge_stats(G + e, e): the subtrees of
-G + e either avoid e, and are the subtrees of G, or use it.  `k_edge_scan`
-applies that rule once per edge of each candidate set, so each route is
-checked here against a full census of the augmented graph.
+G + e either avoid e, and are the subtrees of G, or use it.
+`added_edge_stats` gives the second term for every non-edge e from one
+pass, and `k_edge_scan` applies it once per candidate set, so each route is
+checked here against the rooted census and full censuses of G + e.
 """
 
 import random
@@ -12,17 +13,20 @@ from itertools import combinations
 import pytest
 
 from subtree_census.census import (
+    SubtreeStats,
+    _forest_table,
     _iter_connected_masks,
+    added_edge_stats,
     mean,
     subtree_stats_bruteforce,
     subtree_stats_kirchhoff,
     through_edge_stats,
 )
-from subtree_census.errors import TooLargeError
-from subtree_census.graphs import make_complete, make_path, mask_connected, parse_graph6
+from subtree_census.errors import InvariantViolation, TooLargeError
+from subtree_census.graphs import Graph, make_complete, make_path, mask_connected, parse_graph6
 from subtree_census.search import KEdgeScanResult, KEdgeWitness, k_edge_scan
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph
 from test_search import _all_connected_graphs_up_to
 
 # order 10; its 2- and 3-edge scans find decreasing sets, the first after
@@ -143,3 +147,84 @@ def test_k_edge_scan_matches_full_census_with_witnesses(k, kwargs):
     if budget != 3:
         assert got.witnesses
         assert all(w.mu_after < w.mu_before for w in got.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# added_edge_stats: every non-edge from one pass, against the rooted census
+
+def _check_added_edge_stats(g):
+    base, through = added_edge_stats(g)
+    assert base == subtree_stats_kirchhoff(g)
+    assert list(through) == g.non_edges()
+    return base, through
+
+
+def test_added_edge_stats_matches_rooted_census_up_to_10():
+    rng = random.Random(1901)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        g = random_connected_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        _, through = _check_added_edge_stats(g)
+        for e, stats in through.items():
+            assert stats == through_edge_stats(g.add_edges([e]), *e), (g, e)
+
+
+def test_added_edge_stats_matches_bruteforce_up_to_7():
+    rng = random.Random(1902)
+    graphs = [parse_graph6("FXhew")]
+    graphs += [random_connected_graph(rng, rng.randint(2, 7), 0.3) for _ in range(10)]
+    graphs += [random_graph(rng, rng.randint(2, 6), 0.3) for _ in range(5)]  # may be disconnected
+    for g in graphs:
+        base, through = _check_added_edge_stats(g)
+        assert base == subtree_stats_bruteforce(g)
+        for e, stats in through.items():
+            assert stats == subtree_stats_bruteforce(g.add_edges([e])) - base, (g, e)
+
+
+def test_added_edge_stats_edge_cases():
+    assert added_edge_stats(Graph.of(0)) == (SubtreeStats(0, 0), {})
+    assert added_edge_stats(Graph.of(1)) == (SubtreeStats(1, 1), {})
+    # two isolated vertices: the edge's only subtree is itself
+    assert added_edge_stats(Graph.of(2)) == (SubtreeStats(2, 2), {(0, 1): SubtreeStats(1, 2)})
+    assert added_edge_stats(make_path(2)) == (SubtreeStats(3, 4), {})
+    assert added_edge_stats(make_complete(6))[1] == {}
+    # closing P_n into C_n: the subtrees of C_n through one edge are the
+    # k-vertex arcs that contain it, k - 1 of each order k = 2..n
+    n = 8
+    _, through = _check_added_edge_stats(make_path(n))
+    assert through[(0, n - 1)] == SubtreeStats(
+        sum(k - 1 for k in range(2, n + 1)), sum(k * (k - 1) for k in range(2, n + 1)))
+
+
+def test_added_edge_stats_two_component_sets_carry_tree_counts():
+    # two triangles joined by the path 2-3-4-5: for the non-edge 0-7 the set
+    # {0, 1, 2, 5, 6, 7} induces two triangles, of weight tau * tau = 9
+    g = Graph.of(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
+    base, through = _check_added_edge_stats(g)
+    for e, stats in through.items():
+        assert stats == subtree_stats_bruteforce(g.add_edges([e])) - base, e
+    # with the path gone every set is two components: A holds 0 and B holds 5,
+    # each {x}, an edge (tau 1) or the triangle (tau 3); sum tau = 6 and
+    # sum tau * |A| = 1 + 2 + 2 + 9 = 14 on either side
+    triangles = Graph.of(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    _, through = _check_added_edge_stats(triangles)
+    assert through[(0, 5)] == SubtreeStats(6 * 6, 14 * 6 + 6 * 14)
+    assert through[(0, 5)] == through_edge_stats(triangles.add_edges([(0, 5)]), 0, 5)
+
+
+def test_forest_table_rejects_a_disconnected_subset():
+    g = Graph.of(4, [(0, 1), (2, 3)])
+    with pytest.raises(InvariantViolation):
+        _forest_table(g.adjacency, 4, 0b1111)
+
+
+def test_enumeration_within_a_mask_gives_each_connected_subset_once():
+    rng = random.Random(1903)
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randint(2, 9), 0.2)
+        within = rng.randrange(1 << g.order)
+        got = [mask for mask, _ in _iter_connected_masks(g.adjacency, g.order, within=within)]
+        want = [m for m in range(1, 1 << g.order)
+                if m & within == m and mask_connected(g.adjacency, m)]
+        assert len(got) == len(set(got))
+        assert sorted(got) == want

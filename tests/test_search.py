@@ -6,7 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from subtree_census.census import mean, subtree_stats_bruteforce, subtree_stats_kirchhoff
+from subtree_census.census import (
+    added_edge_stats,
+    mean,
+    subtree_stats_bruteforce,
+    subtree_stats_kirchhoff,
+    through_edge_stats,
+)
 from subtree_census import search
 from subtree_census.errors import TooLargeError
 from subtree_census.graphs import (
@@ -18,7 +24,7 @@ from subtree_census.graphs import (
     make_star,
     parse_graph6,
 )
-from subtree_census.limits import SWEEP_MAX
+from subtree_census.limits import SCAN_MAX, SWEEP_MAX
 from subtree_census.search import (
     TreeBoundReport,
     _sweep_range,
@@ -164,6 +170,13 @@ def test_corpus_scan_rejects_large_max_order():
         corpus_scan([], max_order=13)
 
 
+@pytest.mark.parametrize("max_order", [0, -3])
+def test_corpus_scan_rejects_max_order_below_1(max_order):
+    # every graph has order >= 1, so such a scan would skip the whole corpus
+    with pytest.raises(ValueError):
+        corpus_scan([WITNESS_G6], max_order=max_order)
+
+
 # ---------------------------------------------------------------------------
 # k_edge_scan
 
@@ -228,6 +241,51 @@ def test_k_edge_scan_early_exit_stops_at_witness():
     assert full.witnesses == (((WITNESS_EDGE,), *WITNESS_MU),)
     assert early.examined == 6
     assert early.witnesses == full.witnesses
+
+
+def test_k_edge_scan_at_scan_max_agrees_with_rooted_censuses():
+    # a seeded 20-vertex recursive tree plus two edges: 169 non-edges, 14 of
+    # them decrease the mean
+    rng = random.Random(1915)
+    g = Graph.of(SCAN_MAX, [(rng.randrange(v), v) for v in range(1, SCAN_MAX)])
+    g = g.add_edges(rng.sample([e for e in combinations(range(SCAN_MAX), 2)
+                                if e not in g.edges], 2))
+    res = k_edge_scan(g, 1)
+    assert res.examined == len(g.non_edges()) == 169 and res.exhausted
+    assert len(res.witnesses) == 14
+    base = subtree_stats_kirchhoff(g)
+    mu0 = mean(base)
+    witnesses = {w.added[0]: w for w in res.witnesses}
+    sample = random.Random(1916).sample(g.non_edges(), 6) + [w.added[0] for w in res.witnesses[:2]]
+    for e in sample:
+        mu1 = mean(base + through_edge_stats(g.add_edges([e]), *e))
+        assert (e in witnesses) == (mu1 < mu0), e
+        if e in witnesses:
+            assert witnesses[e].mu_before == mu0 and witnesses[e].mu_after == mu1
+
+
+@pytest.mark.parametrize("k, kwargs", [
+    (2, {}),
+    (2, {"budget": 10}),
+    (2, {"early_exit": True}),
+    (3, {"budget": 100}),
+    (3, {"budget": 100, "early_exit": True}),
+])
+def test_k_edge_scan_runs_one_pass_per_examined_prefix(monkeypatch, k, kwargs):
+    # a pass runs when the first candidate of its prefix is examined, never
+    # for a prefix the budget or an early exit cut off
+    g = parse_graph6("ILbIibOaw")
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return added_edge_stats(h)
+    monkeypatch.setattr(search, "added_edge_stats", counted)
+    res = k_edge_scan(g, k, **kwargs)
+    assert res.witnesses
+    examined = list(combinations(sorted(g.non_edges()), k))[:res.examined]
+    prefixes = list(dict.fromkeys(fset[:-1] for fset in examined))
+    assert calls == [g.add_edges(p) for p in prefixes]
 
 
 # ---------------------------------------------------------------------------
