@@ -11,14 +11,12 @@ graph does not.  Three routes to the same numbers:
   stripping degree-1 vertices), so the determinant is memoised per core.
 * `tree_subtree_stats` - linear rooted dynamic program, trees only.
 
-`through_edge_stats` folds over the connected supersets of an edge's ends
-only, grounding the determinant at both, and counts the subtrees through
-the edge: stats(G + e) = stats(G) + through_edge_stats(G + e, e), with no
-full census of G + e and no contracted graph (deletion-contraction).
-`added_edge_stats` gives those counts for every non-edge e of G at once,
-from one pass over G's connected subsets that carries each subset's
-2-forest counts (all-minors matrix-tree theorem); `through_edge_stats`
-is its test oracle.
+`added_edge_stats` gives stats(G) and, for every non-edge e of G, the
+statistics of the subtrees of G + e that use e, from one pass over G's
+connected subsets that carries each subset's 2-forest counts (all-minors
+matrix-tree theorem).  `through_edge_stats` is its test oracle: the same
+numbers for one edge by deletion-contraction, the difference of two plain
+censuses.
 
 `marked_census` partitions the statistics by which marked vertices and how
 many tracked edges each subtree contains, reading every tracked-edge cell
@@ -115,15 +113,14 @@ class Subtree(NamedTuple):
 # ---------------------------------------------------------------------------
 # Connected-subset enumeration (recursive extension with a forbidden set;
 # every connected subset is produced exactly once, grown from its minimum
-# vertex or from a seed).  Each subset comes with its 2-core, the subset
-# left after deleting degree-1 vertices outside the seed until none is
-# left; a tree keeps only its minimum vertex, or the seed.
+# vertex).  Each subset comes with its 2-core, the subset left after
+# deleting degree-1 vertices until none is left; a tree keeps only its
+# minimum vertex.
 
-def _strip_leaves(adj: tuple[int, ...], mask: int, keep: int = 0) -> int:
-    """2-core of a connected subset that contains a cycle or the nonempty
-    connected set `keep`, whose vertices are never stripped."""
+def _strip_leaves(adj: tuple[int, ...], mask: int) -> int:
+    """2-core of a connected subset that contains a cycle."""
     leaves = []
-    m = mask & ~keep
+    m = mask
     while m:
         b = m & -m
         m ^= b
@@ -133,37 +130,29 @@ def _strip_leaves(adj: tuple[int, ...], mask: int, keep: int = 0) -> int:
     while leaves:
         b = leaves.pop()
         core ^= b
-        # the cycle or `keep` survives, so the stripped leaf had one neighbour left
+        # the cycle survives, so the stripped leaf had one neighbour left
         u = adj[b.bit_length() - 1] & core
-        if not u & keep and (adj[u.bit_length() - 1] & core).bit_count() == 1:
+        if (adj[u.bit_length() - 1] & core).bit_count() == 1:
             leaves.append(u)
     return core
 
 
-def _iter_connected_masks(adj: tuple[int, ...], n: int, seed: int = 0,
+def _iter_connected_masks(adj: tuple[int, ...], n: int,
                           within: int | None = None) -> Iterator[tuple[int, int]]:
-    """(mask, 2-core mask) for every connected subset or, with a nonempty
-    connected `seed` mask, for every connected superset of the seed, whose
-    core keeps the seed's vertices.  Without a seed, `within` limits the
-    subsets to that vertex mask.
+    """(mask, 2-core mask) for every connected subset of the vertex mask
+    `within` (by default all of them).
 
     The order is depth first: a subset S that is not a single vertex comes
     after its parent, S less the vertex that joined last, and every subset
-    in between grew from the parent by a vertex outside S.  Without a seed,
-    the subsets come grouped by minimum vertex, the highest minimum first.
+    in between grew from the parent by a vertex outside S.  The subsets
+    come grouped by minimum vertex, the highest minimum first.
     """
-    if seed:
-        starts = [(seed, 0)]
-    else:
-        full = (1 << n) - 1
-        within = full if within is None else within
-        starts = [(1 << v, (1 << v) - 1 | full & ~within)
-                  for v in reversed(_mask_vertices(within))]
-    for root, below in starts:
-        ext = 0
-        for v in _mask_vertices(root):
-            ext |= adj[v]
-        stack = [(root, ext & ~(root | below), below, root)]
+    full = (1 << n) - 1
+    within = full if within is None else within
+    for v in reversed(_mask_vertices(within)):
+        root = 1 << v
+        below = root - 1 | full & ~within
+        stack = [(root, adj[v] & ~(root | below), below, root)]
         while stack:
             s, ext, forb, core = stack.pop()
             yield s, core
@@ -177,7 +166,7 @@ def _iter_connected_masks(adj: tuple[int, ...], n: int, seed: int = 0,
                 au = adj[u.bit_length() - 1]
                 ext2 = (au | ext) & ~(forb2 | s2)
                 # a vertex joining by one edge is a leaf of s2: same core
-                core2 = core if (au & s).bit_count() == 1 else _strip_leaves(adj, s2, seed)
+                core2 = core if (au & s).bit_count() == 1 else _strip_leaves(adj, s2)
                 stack.append((s2, ext2, forb2, core2))
                 banned |= u
 
@@ -222,18 +211,13 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return m[n - 1][n - 1]
 
 
-def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None,
-              ground: int = 0) -> int:
-    """Laplacian determinant of the subgraph induced on `mask`, less the
-    rows and columns of the `ground` vertices (by default its lowest one).
-
-    Grounded at one vertex, this is the spanning-tree count (Matrix-Tree).
-    Grounded at both ends of an edge uv, it counts the spanning trees that
-    use uv: those of the contraction by uv, whose parallel edges all meet
-    the merged, deleted vertex.  With `weights`, a tree counts as
-    prod_{e in T} w(e); unweighted edges have weight 1.
+def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None) -> int:
+    """Spanning-tree count of the subgraph induced on `mask` (Matrix-Tree):
+    its Laplacian determinant less the row and column of its lowest vertex.
+    With `weights`, a tree counts as prod_{e in T} w(e); unweighted edges
+    have weight 1.
     """
-    vs = _mask_vertices(mask & ~(ground or mask & -mask))
+    vs = _mask_vertices(mask & (mask - 1))
     adj = g.adjacency
     lap = []
     for i, u in enumerate(vs):
@@ -249,11 +233,9 @@ def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None,
     return _bareiss_det(lap) if lap else 1
 
 
-def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None,
-                   seed: int = 0) -> Iterator[tuple[int, int, int]]:
-    """(mask, core, tau_w(core)) for every connected subset `mask` (with a
-    `seed`, every connected superset of it) and its 2-core `core`, with
-    `_tau_mask` grounded at the seed.
+def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None) -> Iterator[tuple[int, int, int]]:
+    """(mask, core, tau_w(core)) for every connected subset `mask` and its
+    2-core `core`.
 
     A leaf's edge lies in every spanning tree, so tau_w(mask) is tau_w(core)
     times the weights of the stripped edges; unweighted, the two are equal.
@@ -262,13 +244,13 @@ def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None,
     computed directly, so leafless (dense) graphs store nothing.
     """
     memo: dict[int, int] = {}
-    for mask, core in _iter_connected_masks(g.adjacency, g.order, seed):
+    for mask, core in _iter_connected_masks(g.adjacency, g.order):
         if core == mask:
-            yield mask, core, _tau_mask(g, mask, weights, seed)
+            yield mask, core, _tau_mask(g, mask, weights)
             continue
         tau = memo.get(core)
         if tau is None:
-            tau = memo[core] = _tau_mask(g, core, weights, seed)
+            tau = memo[core] = _tau_mask(g, core, weights)
         yield mask, core, tau
 
 
@@ -284,33 +266,28 @@ def spanning_tree_count(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Subtree statistics
 
-def _stats_fold(g: Graph, seed: int = 0) -> SubtreeStats:
+def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
+    """Sum spanning-tree counts over all connected vertex subsets."""
     if g.order > CENSUS_MAX:
         raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     count = 0
     total = 0
-    for mask, _, tau in _iter_core_tau(g, seed=seed):
+    for mask, _, tau in _iter_core_tau(g):
         count += tau
         total += tau * mask.bit_count()
     return SubtreeStats(count, total)
 
 
-def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
-    """Sum spanning-tree counts over all connected vertex subsets."""
-    return _stats_fold(g)
-
-
 def through_edge_stats(g: Graph, u: int, v: int) -> SubtreeStats:
     """Statistics of the subtrees of g that use its edge uv.
 
-    Each spans a connected superset S of {u, v} and is a spanning tree of
-    g[S] through uv, so the fold runs over those supersets only, with the
-    determinant grounded at u and v.  Deletion-contraction then gives
-    stats(g) = stats(g - uv) + through_edge_stats(g, u, v).
+    The subtrees of g either avoid uv, and are the subtrees of g - uv, or
+    use it (deletion-contraction), so this is stats(g) - stats(g - uv)
+    from two plain censuses, independent of `added_edge_stats`.
     """
     if edge(u, v) not in g.edges:
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    return _stats_fold(g, 1 << u | 1 << v)
+    return subtree_stats_kirchhoff(g) - subtree_stats_kirchhoff(g.remove_edges([(u, v)]))
 
 
 def _forest_table(adj: tuple[int, ...], n: int, mask: int) -> tuple[int, list[int]]:

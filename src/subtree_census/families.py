@@ -325,6 +325,8 @@ class DecreaseWitness(NamedTuple):
 
 def geometric_star_sizes(s_max: int) -> list[int]:
     """0, 1, 2, 4, 8, ... up to s_max."""
+    if s_max < 0:
+        raise ValueError("s_max must be >= 0")
     out = [0]
     v = 1
     while v <= s_max:

@@ -15,7 +15,7 @@ SPANNING_MAX = 40        # vertices: one Kirchhoff determinant of a whole graph
 MARKED_MAX = 6           # marked vertices per census: up to 2**6 cells per subset
 EXPONENT_CAP = 1 << 20   # bits of an exact power: 2**s per star, (a+1)**(n-b) per stem class
 MAX_MATERIALIZED = 64    # vertices: graphs built from family or host parameters
-SCAN_MAX = 20            # vertices: k-edge addition scan, one rooted census per added edge
+SCAN_MAX = 20            # vertices: k-edge addition scan, one 2-forest pass per (k-1)-edge prefix
 CORPUS_MAX = 12          # vertices: graphs scanned from a graph6 corpus
 SWEEP_MAX = 16           # vertices: tree sweep, one DP per unlabeled tree (19,320 at n = 16)
 STEM_M_MAX = 64          # A-side vertices: the stem-class grid has about m**2/2 classes

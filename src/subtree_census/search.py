@@ -141,7 +141,8 @@ def k_edge_scan(g: Graph, k: int, budget: int | None = None,
     at the first witness.  Means are compared by `compare_means`.  The
     candidates sharing their first k - 1 edges P are consecutive and take
     their statistics from one `added_edge_stats` pass over g + P, run when
-    the first of them is examined.
+    the first of them is examined.  So `budget` counts candidate sets, not
+    work: a prefix's first candidate runs that prefix's whole pass.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -104,6 +104,14 @@ def test_decrease_cli(capsys):
         assert "/" in row["mu_base"] or row["mu_base"].isdigit()
 
 
+def test_decrease_negative_s_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--deterministic", "decrease",
+                             "--k", "1", "--s-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: s_max must be >= 0\n"
+
+
 def test_decrease_core_over_bound_exits_3_before_scanning(monkeypatch, capsys):
     from subtree_census import families
 

@@ -283,6 +283,8 @@ def test_geometric_star_sizes():
     assert geometric_star_sizes(0) == [0]
     assert geometric_star_sizes(9) == [0, 1, 2, 4, 8]
     assert geometric_star_sizes(8) == [0, 1, 2, 4, 8]
+    with pytest.raises(ValueError):
+        geometric_star_sizes(-1)
 
 
 def test_no_false_decrease_on_triangle_case():
