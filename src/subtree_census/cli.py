@@ -184,6 +184,8 @@ def cmd_decrease(args) -> tuple[dict, list[dict]]:
     k = args.k
     l_min = args.L_min if args.L_min is not None else k + 2
     lengths = range(l_min, args.L_max + 1)
+    if not lengths:
+        raise ValueError(f"empty length range: L_min = {l_min} > L_max = {args.L_max}")
     sizes = families.geometric_star_sizes(args.s_max)
     witnesses = families.find_decrease_witnesses(k, lengths, sizes)
     rows = [{

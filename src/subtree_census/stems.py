@@ -7,7 +7,9 @@ its A-vertices together with the B-vertices of degree at least two.  Stems
 on fixed label sets are counted in closed form by inclusion-exclusion over
 the B-vertices forced to be leaves; `iter_stem_trees` enumerates them over
 Prüfer sequences and serves only as the test oracle.  Everything else is
-closed-form in n, so n may be large while m stays moderate.
+closed-form in n, so n may be large while m stays moderate: grouped by the
+A-side size a, the classes make each host a sum over a of
+(a+1)**(n-a+1) times a small integer combination of the C(n, b), b < a.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .census import Subtree, compare_means
@@ -209,32 +212,36 @@ def _check_grid(m: int, n: int) -> None:
     check_exponent(n * (m + 1).bit_length(), "(a+1)**(n-b)")
 
 
-def _classes(m: int, n: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(1, m + 1) for b in range(0, min(a - 1, n) + 1)]
+def _a_rows(variant: str, m: int, lcm: int) -> list[tuple[int, list[int], list[int]]]:
+    """Row (f, alpha, beta) per A-side size a = 1..m: class (a, b) has
+    P_a * C(n, b) * alpha_b subtrees, P_a = (a+1)**(n-a+1), whose lcm * total
+    order is P_a * C(n, b) * (n * f * alpha_b + beta_b), with f = a*lcm/(a+1)
+    and `lcm` a multiple of every a+1."""
+    rows = []
+    for a in range(1, m + 1):
+        q = lcm // (a + 1)
+        alpha = [comb(m, a) * stem_count(variant, a, b) * (a + 1) ** (a - 1 - b)
+                 for b in range(a)]
+        beta = [w * ((a + b) * lcm - a * b * q) for b, w in enumerate(alpha)]
+        rows.append((a * q, alpha, beta))
+    return rows
 
 
-def _weights(variant: str, m: int, classes: list[tuple[int, int]]) -> list[int]:
-    """C(m, a) * stem_count: the factor by which the variants' class sizes
-    differ; the shared factor is C(n, b) * (a+1)**(n-b)."""
-    return [comb(m, a) * stem_count(variant, a, b) for a, b in classes]
-
-
-def _host_totals(classes: list[tuple[int, int]], weights: list[int],
-                 shared: list[int], n: int, lcm: int) -> tuple[int, int]:
-    """(lcm * total subtree order, subtree count) of one host at n.
-
-    `shared[i]` is C(n, b) * (a+1)**(n-b) for class i, zero while b > n.
-    The class mean (n-b)*a/(a+1) + a + b is put over the common denominator
-    `lcm`, a multiple of every a+1, so everything stays an integer; the n
-    single-B-vertex subtrees add order 1 each.
-    """
-    total = count = 0
-    for (a, b), w, q in zip(classes, weights, shared):
-        if w:
-            size = w * q
-            count += size
-            total += size * ((n - b) * a * (lcm // (a + 1)) + (a + b) * lcm)
-    return total + n * lcm, count + n
+def _host_at(rows, binom: list[int], powers: list[int], n: int, lcm: int) -> tuple[int, int]:
+    """(lcm * total subtree order, subtree count) of one host at n, from
+    binom[b] = C(n, b) and powers[a-1] = P_a.  While n < a-1, P_a is 1 and the
+    bracket divides exactly by (a+1)**(a-1-n), as C(n, b) = 0 for b > n; the
+    n single-B-vertex subtrees add order 1 each."""
+    total, count = n * lcm, n
+    for i, ((f, alpha, beta), p) in enumerate(zip(rows, powers)):
+        c = sum(map(mul, alpha, binom))
+        t = n * f * c + sum(map(mul, beta, binom))
+        if i > n:
+            d = (i + 2) ** (i - n)
+            c, t = c // d, t // d
+        count += p * c
+        total += p * t
+    return total, count
 
 
 def graph_mean_order(variant: str, m: int, n: int) -> Fraction:
@@ -244,10 +251,10 @@ def graph_mean_order(variant: str, m: int, n: int) -> Fraction:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     _check_grid(m, n)
-    classes = _classes(m, n)
     lcm = math.lcm(*range(1, m + 2))
-    shared = [comb(n, b) * (a + 1) ** (n - b) for a, b in classes]
-    total, count = _host_totals(classes, _weights(variant, m, classes), shared, n, lcm)
+    binom = [comb(n, b) for b in range(m)]
+    powers = [(a + 1) ** max(n - a + 1, 0) for a in range(1, m + 1)]
+    total, count = _host_at(_a_rows(variant, m, lcm), binom, powers, n, lcm)
     return Fraction(total, lcm * count)
 
 
@@ -272,29 +279,24 @@ class SweepPoint(NamedTuple):
 def mean_sweep(m: int, n_max: int) -> Iterator[SweepPoint]:
     """Both hosts for n = 1..n_max in one incremental pass of exact integers.
 
-    The shared class factor Q = C(n, b) * (a+1)**(n-b) moves from n-1 to n
-    as Q * (a+1) * n // (n-b), starting from Q = 1 at n = b; stem counts are
-    looked up once per class.  Limits are checked against n_max first, so an
-    out-of-reach sweep fails before it starts; m is checked even when the
-    sweep is empty.
+    Per n, C(n, b) moves by Pascal's rule and each P_a = (a+1)**(n-a+1) by
+    one factor a+1, both shared by the hosts; each host then costs 2m
+    big-integer products, and stem counts are looked up once.  Limits are
+    checked against n_max first, so an out-of-reach sweep fails before it
+    starts; m is checked even when the sweep is empty, then n_max >= 0.
     """
     _check_grid(m, max(n_max, 1))
-    if n_max < 1:
-        return
-    classes = _classes(m, n_max)
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
     lcm = math.lcm(*range(1, m + 2))
-    w_split = _weights("split", m, classes)
-    w_bip = _weights("bipartite", m, classes)
-    shared = [int(b == 0) for _, b in classes]
+    split, bip = _a_rows("split", m, lcm), _a_rows("bipartite", m, lcm)
+    binom = [1] + [0] * (m - 1)
+    powers = [1] * m
     for n in range(1, n_max + 1):
-        for i, (a, b) in enumerate(classes):
-            if b < n:
-                shared[i] = shared[i] * ((a + 1) * n) // (n - b)
-            elif b == n:
-                shared[i] = 1
-        yield SweepPoint(n, lcm,
-                         _host_totals(classes, w_split, shared, n, lcm),
-                         _host_totals(classes, w_bip, shared, n, lcm))
+        binom[1:] = [x + y for x, y in zip(binom, binom[1:])]
+        powers[:n] = [p * (i + 2) for i, p in enumerate(powers[:n])]
+        yield SweepPoint(n, lcm, _host_at(split, binom, powers, n, lcm),
+                         _host_at(bip, binom, powers, n, lcm))
 
 
 @dataclass(frozen=True)
@@ -307,11 +309,8 @@ class StemTable:
 def stem_table(variant: str, m: int) -> StemTable:
     if m < 1:
         raise ValueError("need m >= 1")
-    entries = {}
-    for a in range(1, m + 1):
-        for b in range(0, a):
-            entries[(a, b)] = stem_count(variant, a, b)
-    return StemTable(variant, m, entries)
+    return StemTable(variant, m, {(a, b): stem_count(variant, a, b)
+                                  for a in range(1, m + 1) for b in range(a)})
 
 
 # ---------------------------------------------------------------------------

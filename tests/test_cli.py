@@ -112,6 +112,20 @@ def test_decrease_negative_s_max_exits_2(capsys):
     assert err == "error: s_max must be >= 0\n"
 
 
+@pytest.mark.parametrize("lengths", [("--L-max", "2"), ("--L-min", "10", "--L-max", "5")])
+def test_decrease_empty_length_range_exits_2(monkeypatch, capsys, lengths):
+    from subtree_census import families
+
+    def no_census(*args):
+        raise AssertionError("census ran for an empty length range")
+
+    monkeypatch.setattr(families, "_hub_census", no_census)
+    code, out, err = run_cli(capsys, "--deterministic", "decrease", "--k", "1", *lengths)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty length range")
+
+
 def test_decrease_core_over_bound_exits_3_before_scanning(monkeypatch, capsys):
     from subtree_census import families
 
@@ -132,6 +146,17 @@ def test_threshold_cli_m1_no_crossing(capsys):
     rec = json.loads(out)
     assert code == 0
     assert rec["results"]["n_star"] == "no crossing"
+
+
+def test_threshold_cli_negative_n_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--deterministic", "threshold", "--m", "2", "--n-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need n_max >= 0\n"
+    # an empty range stays a valid, documented "no crossing"
+    code, out, _ = run_cli(capsys, "--deterministic", "threshold", "--m", "2", "--n-max", "0")
+    rec = json.loads(out)
+    assert code == 0 and rec["results"]["n_star"] == "no crossing" and rec["rows"] == []
 
 
 def test_threshold_cli_m2(capsys):
@@ -322,6 +347,7 @@ def test_mu_family_bad_values_exit_codes(capsys, argv, want):
     (("threshold", "--m", "-3", "--n-max", "-5"), 2),
     (("stem-table", "--m", "-2"), 2),
     (("stem-table", "--m", "2", "--n", "-1"), 2),
+    (("threshold", "--m", "100", "--n-max", "-1"), 3),
 ])
 def test_range_checks_independent_of_other_argument(capsys, argv, want):
     code, out, _ = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -360,9 +361,18 @@ def test_threshold_empty_and_invalid_inputs():
         threshold_search(0, 5)
 
 
+def test_threshold_refuses_negative_n_max():
+    for n_max in (-1, -7):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            list(mean_sweep(2, n_max))
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            threshold_search(1, n_max)
+
+
 @pytest.mark.parametrize("m,n_max,error", [
     (0, 0, ValueError), (-3, -5, ValueError), (0, 5, ValueError),
     (stems.STEM_M_MAX + 1, 0, TooLargeError), (stems.STEM_M_MAX + 1, 5, TooLargeError),
+    (stems.STEM_M_MAX + 1, -1, TooLargeError),
 ])
 def test_threshold_checks_m_whatever_n_max(m, n_max, error):
     with pytest.raises(error):
@@ -388,3 +398,41 @@ def test_class_size_refuses_powers_beyond_the_exponent_cap():
     from subtree_census.census import EXPONENT_CAP
     n = EXPONENT_CAP // 3
     assert extension_count(3, 0, n) == 1 << (2 * n)
+
+
+# ---------------------------------------------------------------------------
+# The per-a sweep against the per-class closed forms
+
+def _class_totals(variant, m, n):
+    """(lcm * total order, count) summed class by class, plus the n single
+    B-vertex subtrees: the form the per-a grouping replaces."""
+    lcm = math.lcm(*range(1, m + 2))
+    total, count = n * lcm, n
+    for a in range(1, m + 1):
+        for b in range(min(a - 1, n) + 1):
+            size = class_size(variant, m, n, a, b)
+            count += size
+            total += size * class_mean_order(n, a, b) * lcm
+    assert total.denominator == 1
+    return int(total), count
+
+
+@pytest.mark.parametrize("variant", ["split", "bipartite"])
+def test_sweep_matches_class_sums(variant):
+    # n = 1..m+2 covers the points with n < a-1, where P_a = (a+1)**(n-a+1)
+    # is a fraction and the per-a bracket is divided exactly instead
+    checked = 0
+    for m in range(1, 11):
+        points = {p.n: p for p in mean_sweep(m, 301)}
+        for n in [*range(1, m + 3), 100, 301]:
+            got = points[n].split if variant == "split" else points[n].bipartite
+            assert got == _class_totals(variant, m, n), (m, n)
+            checked += 1
+    assert checked == 10 * 2 + sum(range(3, 13))
+
+
+def test_graph_mean_matches_sweep_at_m64():
+    points = {p.n: p for p in mean_sweep(64, 200)}
+    for n in (1, 62, 63, 64, 200):
+        for variant in ("split", "bipartite"):
+            assert graph_mean_order(variant, 64, n) == points[n].mean(variant)
