@@ -14,9 +14,11 @@ graph does not.  Three routes to the same numbers:
 `added_edge_stats` gives stats(G) and, for every non-edge e of G, the
 statistics of the subtrees of G + e that use e, from one pass over G's
 connected subsets that carries each subset's 2-forest counts (all-minors
-matrix-tree theorem).  `through_edge_stats` is its test oracle: the same
-numbers for one edge by deletion-contraction, the difference of two plain
-censuses.
+matrix-tree theorem).  A subset updates its parent's table: O(|S|) when the
+new vertex is a leaf, and one integer rank-one (Sherman-Morrison) step of
+O(|S|**2) per further edge into the parent.  `through_edge_stats` is its
+test oracle: the same numbers for one edge by deletion-contraction, the
+difference of two plain censuses.
 
 `marked_census` partitions the statistics by which marked vertices and how
 many tracked edges each subtree contains, reading every tracked-edge cell
@@ -290,52 +292,56 @@ def through_edge_stats(g: Graph, u: int, v: int) -> SubtreeStats:
     return subtree_stats_kirchhoff(g) - subtree_stats_kirchhoff(g.remove_edges([(u, v)]))
 
 
-def _forest_table(adj: tuple[int, ...], n: int, mask: int) -> tuple[int, list[int]]:
-    """(tau, F) for the connected subset `mask`: its spanning-tree count and,
-    in F[x*n + y] = F[y*n + x] for x != y in `mask`, the spanning 2-forests
-    that separate x from y (other entries 0).
+def _iter_forest_tables(adj: tuple[int, ...], n: int) -> Iterator[tuple[int, int, list[int], int, list[int]]]:
+    """(mask, core, vs, tau, F) for every connected subset `mask`, in the
+    order of `_iter_connected_masks`: its 2-core, its vertices in order of
+    joining, its spanning-tree count and, in F[x*n + y] = F[y*n + x] for
+    x != y in `mask`, the spanning 2-forests that separate x from y (other
+    entries 0; F(x, y) is the Laplacian minor without rows and columns x
+    and y, by the all-minors matrix-tree theorem, Chaiken 1982).
 
-    With M the adjugate of the Laplacian grounded at r = min(mask),
-    F(r, x) = M_xx and F(x, y) = M_xx + M_yy - 2 M_xy (all-minors
-    matrix-tree theorem, Chaiken 1982).  M comes from fraction-free
-    Gauss-Jordan elimination of [L | I], whose pivots are the leading
-    principal minors of a positive definite matrix, the last one tau.
-    Before step k, column k of I is zero but for row k's entry, the
-    previous pivot, and L's columns up to k are never read again: each row
-    is kept as [L row | M row] and step k updates its slice k+1 .. m+k.
+    Each subset updates its parent's table.  The joining vertex w, hooked
+    to the parent by its lowest neighbour p there, is a leaf: tau stays and
+    F(w, x) = F(p, x) + tau.  Every further hook h adds the edge wh, a
+    rank-one change of the Laplacian, so Sherman-Morrison in integers gives
+    tau' = tau + F(w, h) and F'(x, y) = (tau' F(x, y) - ((d_x - d_y)/2)**2)
+    / tau with d_x = F(h, x) - F(w, x); d_x - d_y is even and the division
+    exact.  That is O(|S|) per leaf join and O(|S|**2) per further hook.
     """
-    r, *vs = _mask_vertices(mask)
-    m = len(vs)
-    rows = []
-    for i, u in enumerate(vs):
-        a = adj[u] & mask
-        row = [-(a >> v & 1) for v in vs] + [0] * m
-        row[i] = a.bit_count()
-        rows.append(row)
-    prev = 1
-    for k in range(m):
-        row_k = rows[k]
-        pivot = row_k[k]
-        if pivot <= 0:
-            raise InvariantViolation("non-positive Gauss-Jordan pivot")
-        row_k[m + k] = prev
-        hi = m + k + 1
-        seg = row_k[k + 1:hi]
-        for i, row_i in enumerate(rows):
-            if i != k:
-                a = row_i[k]
-                row_i[k + 1:hi] = [(pivot * x - a * y) // prev
-                                   for x, y in zip(row_i[k + 1:hi], seg)]
-        prev = pivot
-    table = [0] * (n * n)
-    for i, x in enumerate(vs):
-        row_i = rows[i]
-        mxx = row_i[m + i]
-        table[r * n + x] = table[x * n + r] = mxx
-        for j in range(i):
-            y = vs[j]
-            table[x * n + y] = table[y * n + x] = mxx + rows[j][m + j] - 2 * row_i[m + j]
-    return prev, table
+    path: list[tuple[int, list[int], int, list[int]]] = []
+    for mask, core in _iter_connected_masks(adj, n):
+        # the entries of `path` are the current subset's ancestors
+        while path and path[-1][0] & ~mask:
+            path.pop()
+        if not path:
+            vs, tau, table = [mask.bit_length() - 1], 1, [0] * (n * n)
+        else:
+            parent, vs, tau, table = path[-1]
+            w = (mask ^ parent).bit_length() - 1
+            p, *hooks = _mask_vertices(adj[w] & parent)
+            table = table[:]
+            wn = w * n
+            for x in vs:
+                table[wn + x] = table[x * n + w] = table[p * n + x] + tau
+            vs = vs + [w]
+            for h in hooks:
+                f = table[wn + h]
+                if f <= 0:
+                    raise InvariantViolation("non-positive 2-forest count at a hook")
+                tau2 = tau + f
+                hn = h * n
+                # every d_x has the same parity, so d_x//2 - d_y//2 = (d_x - d_y)/2
+                half = [table[hn + x] - table[wn + x] >> 1 for x in vs]
+                done = []
+                for x, hx in zip(vs, half):
+                    xn = x * n
+                    for y, hy in done:
+                        q = hx - hy
+                        table[xn + y] = table[y * n + x] = (tau2 * table[xn + y] - q * q) // tau
+                    done.append((x, hx))
+                tau = tau2
+        path.append((mask, vs, tau, table))
+        yield mask, core, vs, tau, table
 
 
 def added_edge_stats(g: Graph) -> tuple[SubtreeStats, dict[Edge, SubtreeStats]]:
@@ -348,13 +354,13 @@ def added_edge_stats(g: Graph) -> tuple[SubtreeStats, dict[Edge, SubtreeStats]]:
     induces either a connected graph or two components A and B with u in A
     and v in B, where F_S = tau(A) tau(B).
 
-    Connected subsets come from `_iter_connected_masks`, each carrying its
-    table F_S (`_forest_table`).  A vertex w joining S by one edge to p
-    keeps tau and every entry within S, and F(w, x) = F(p, x) + tau(S);
-    a vertex that closes a cycle rebuilds the table.  For the two-component
-    sets, each connected A meets the connected subsets B of g minus A, its
-    neighbours and every vertex up to min(A); subsets with a higher minimum
-    come first, so tau(B) = tau(core of B) is known by then.
+    Connected subsets come from `_iter_forest_tables` with their tables
+    F_S, each updated from its parent's: O(|S|) when the joining vertex is
+    a leaf, and one rank-one (Sherman-Morrison) step of O(|S|**2) per extra
+    edge when it closes cycles.  For the two-component sets, each connected
+    A meets the connected subsets B of g minus A, its neighbours and every
+    vertex up to min(A); subsets with a higher minimum come first, so
+    tau(B) = tau(core of B) is known by then.
     """
     n = g.order
     if n > CENSUS_MAX:
@@ -369,34 +375,15 @@ def added_edge_stats(g: Graph) -> tuple[SubtreeStats, dict[Edge, SubtreeStats]]:
     count = total = 0
     taus: dict[int, int] = {}  # tau of every subset that is its own core
     b_sides: dict[int, list[tuple[int, int, int]]] = {}  # by the mask B ranges over
-    path: list[tuple[int, list[int], int, list[int], int]] = []
-    for mask, core in _iter_connected_masks(adj, n):
-        # the entries of `path` are the current subset's ancestors
-        while path and path[-1][0] & ~mask:
-            path.pop()
-        if path:
-            parent, vs, tau, table, near = path[-1]
-            w = (mask ^ parent).bit_length() - 1
-            hook = adj[w] & parent
-            if hook & (hook - 1):
-                tau, table = _forest_table(adj, n, mask)
-            else:
-                p = hook.bit_length() - 1
-                table = table[:]
-                for x in vs:
-                    table[w * n + x] = table[x * n + w] = table[p * n + x] + tau
-            vs = vs + [w]
-            near |= adj[w]
-        else:
-            w = mask.bit_length() - 1
-            vs, tau, table, near = [w], 1, [0] * (n * n), adj[w]
-        path.append((mask, vs, tau, table, near))
+    for mask, core, vs, tau, table in _iter_forest_tables(adj, n):
         if core == mask:
             taus[mask] = tau
         size = len(vs)
         count += tau
         total += tau * size
+        near = 0
         for x in vs:
+            near |= adj[x]
             rest = mask & far[x]
             while rest:
                 b = rest & -rest

@@ -16,15 +16,18 @@ import pytest
 
 from subtree_census.census import (
     SubtreeStats,
-    _forest_table,
+    _bareiss_det,
     _iter_connected_masks,
+    _iter_forest_tables,
+    _mask_vertices,
+    _tau_mask,
     added_edge_stats,
     mean,
     subtree_stats_bruteforce,
     subtree_stats_kirchhoff,
     through_edge_stats,
 )
-from subtree_census.errors import InvariantViolation, TooLargeError
+from subtree_census.errors import TooLargeError
 from subtree_census.graphs import Graph, make_complete, make_path, mask_connected, parse_graph6
 from subtree_census.search import KEdgeScanResult, KEdgeWitness, k_edge_scan
 
@@ -161,6 +164,28 @@ def test_added_edge_stats_matches_deletion_contraction_up_to_10():
             assert stats == through_edge_stats(g.add_edges([e]), *e), (g, e)
 
 
+def _max_hooks(g):
+    """The most edges by which a vertex joins its parent subset in the pass."""
+    return max((g.adjacency[vs[-1]] & mask).bit_count()
+               for mask, _, vs, _, _ in _iter_forest_tables(g.adjacency, g.order))
+
+
+def test_added_edge_stats_matches_deletion_contraction_on_dense_graphs():
+    # dense subsets are where joins close many cycles at once: one rank-one
+    # step per hook after the first
+    rng = random.Random(2402)
+    graphs = [random_connected_graph(rng, n, p) for n in (9, 10, 11, 12) for p in (0.8, 0.95)]
+    # K_n less a perfect matching: as dense as a graph with n/2 non-edges gets
+    graphs += [Graph.of(n, [(u, v) for u, v in combinations(range(n), 2) if v != u + 1 or u % 2])
+               for n in (6, 8, 10)]
+    for g in graphs:
+        assert _max_hooks(g) >= 3
+        _, through = _check_added_edge_stats(g)
+        assert through, g
+        for e, stats in through.items():
+            assert stats == through_edge_stats(g.add_edges([e]), *e), (g, e)
+
+
 def test_added_edge_stats_matches_bruteforce_up_to_7():
     rng = random.Random(1902)
     graphs = [parse_graph6("FXhew")]
@@ -204,10 +229,42 @@ def test_added_edge_stats_two_component_sets_carry_tree_counts():
     assert through[(0, 5)] == through_edge_stats(triangles.add_edges([(0, 5)]), 0, 5)
 
 
-def test_forest_table_rejects_a_disconnected_subset():
-    g = Graph.of(4, [(0, 1), (2, 3)])
-    with pytest.raises(InvariantViolation):
-        _forest_table(g.adjacency, 4, 0b1111)
+def _minor_without(g, mask, x, y):
+    """The Laplacian of g[mask] less rows and columns x and y: by the
+    all-minors matrix-tree theorem, the spanning 2-forests of g[mask] that
+    separate x from y."""
+    vs = [v for v in _mask_vertices(mask) if v not in (x, y)]
+    lap = [[-(g.adjacency[u] >> v & 1) for v in vs] for u in vs]
+    for i, u in enumerate(vs):
+        lap[i][i] = (g.adjacency[u] & mask).bit_count()
+    return _bareiss_det(lap) if lap else 1
+
+
+def test_forest_tables_match_all_minors_determinants():
+    rng = random.Random(2401)
+    graphs = [random_connected_graph(rng, n, 0.15) for n in (5, 7, 9)]
+    graphs += [random_connected_graph(rng, n, 0.8) for n in (6, 8, 9)]
+    graphs += [make_complete(n) for n in (2, 5, 9)]
+    graphs.append(Graph.of(9, [(0, 1), (0, 2), (1, 2), (1, 3), (4, 5), (5, 6), (4, 6), (6, 7)]))
+    seen = set()
+    for g in graphs:
+        n = g.order
+        masks = []
+        for mask, _, vs, tau, table in _iter_forest_tables(g.adjacency, n):
+            masks.append(mask)
+            assert sorted(vs) == _mask_vertices(mask)
+            assert tau == _tau_mask(g, mask), (g, mask)
+            want = [0] * (n * n)
+            for x in vs:
+                for y in vs:
+                    if x != y:
+                        want[x * n + y] = _minor_without(g, mask, x, y)
+            assert table == want, (g, mask)
+            # the joining vertex's edges into its parent: 1 hook is a leaf
+            # update, each further one a rank-one step
+            seen.add((g.adjacency[vs[-1]] & mask).bit_count())
+        assert sorted(masks) == [m for m in range(1, 1 << n) if mask_connected(g.adjacency, m)]
+    assert {0, 1, 2, 3, 8} <= seen
 
 
 def test_enumeration_within_a_mask_gives_each_connected_subset_once():
