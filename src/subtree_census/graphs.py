@@ -181,8 +181,8 @@ def make_fan_broom_core(length: int, k: int) -> tuple[Graph, VertexSet]:
     """Path core plus k chords joining the first k path vertices to the far hub."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= length:
-        raise ValueError(f"k={k} must be smaller than the core length {length}")
+    if k > length - 2:  # chord (k-1, length-1) would be a path edge
+        raise ValueError(f"{k} fan chords need a core length of at least {k + 2}, not {length}")
     return make_chorded_broom_core(length, [(i, length - 1) for i in range(k)])
 
 

@@ -1,12 +1,11 @@
 """Counterexample and property scans.
 
-* `edge_addition_scan` / `corpus_scan`: find single-edge additions that
-  strictly decrease the mean subtree order, over one graph or over a
-  newline-delimited graph6 stream.
-* `k_edge_scan`: the k-edge generalization with an explicit budget.  For
-  each prefix P = (f_1, ..., f_{k-1}) of the candidate sets, one
-  `added_edge_stats` pass over G + P gives stats(G + P) and the statistics
-  of the subtrees through every further edge e, so
+* `k_edge_scan`: find k-sets of non-edges whose joint addition strictly
+  decreases the mean subtree order; `corpus_scan` runs it with k = 1 over
+  a newline-delimited graph6 stream.  For each prefix P = (f_1, ...,
+  f_{k-1}) of the candidate sets, one `added_edge_stats` pass over G + P
+  gives stats(G + P) and the statistics of the subtrees through every
+  further edge e, so
   stats(G + P + e) = stats(G + P) + through(G + P + e, e) for all e at
   once; for k = 1 that is one pass per graph.
 * `tree_bound_sweep`: verify mu(T) >= (n+2)/3 over every labeled tree,
@@ -35,17 +34,46 @@ from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
 from .trees import adjacency_lists, prufer_edges, prufer_sequence, subtree_stats_of_tree
 
 
-class EdgeAdditionHit(NamedTuple):
-    added: Edge
+# ---------------------------------------------------------------------------
+# k-edge scan
+
+class KEdgeWitness(NamedTuple):
+    added: tuple[Edge, ...]
     mu_before: Fraction
     mu_after: Fraction
 
 
-def edge_addition_scan(g: Graph) -> list[EdgeAdditionHit]:
-    """Non-edges whose addition strictly decreases the mean subtree order;
-    `k_edge_scan` with k = 1."""
-    return [EdgeAdditionHit(w.added[0], w.mu_before, w.mu_after)
-            for w in k_edge_scan(g, 1).witnesses]
+def k_edge_scan(g: Graph, k: int) -> tuple[KEdgeWitness, ...]:
+    """Every k-set of non-edges whose joint addition strictly decreases the
+    mean subtree order, in lexicographic order.
+
+    Means are compared by `compare_means`.  The candidate sets sharing
+    their first k - 1 edges P are consecutive and take their statistics
+    from one `added_edge_stats` pass over g + P.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if g.order > SCAN_MAX:
+        raise TooLargeError(f"k-edge scan capped at {SCAN_MAX} vertices")
+    if not g.is_connected():
+        raise ValueError("k-edge scan requires a connected graph")
+    if k == 0:
+        return ()  # combinations(..., 0) yields one empty set, with no last edge
+    # for k = 1 the one pass, over g itself, gives stats(g) as well
+    base = subtree_stats_kirchhoff(g) if k > 1 else None
+    witnesses = []
+    prefix = None
+    for fset in combinations(sorted(g.non_edges()), k):
+        if fset[:-1] != prefix:
+            prefix = fset[:-1]
+            start, through = added_edge_stats(g.add_edges(prefix))
+            if base is None:
+                base = start
+        after = start + through[fset[-1]]
+        if compare_means(after.total_order, after.count,
+                         base.total_order, base.count) < 0:
+            witnesses.append(KEdgeWitness(fset, mean(base), mean(after)))
+    return tuple(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +103,8 @@ class ScanReport:
 
 def _scan_entry(item: tuple[str, Graph]) -> list[ScanInstance]:
     text, g = item
-    return [ScanInstance(g.order, text, hit.added, hit.mu_before, hit.mu_after)
-            for hit in edge_addition_scan(g)]
+    return [ScanInstance(g.order, text, w.added[0], w.mu_before, w.mu_after)
+            for w in k_edge_scan(g, 1)]
 
 
 def corpus_scan(lines: Iterable[str], max_order: int = CORPUS_MAX,
@@ -113,68 +141,6 @@ def corpus_scan(lines: Iterable[str], max_order: int = CORPUS_MAX,
         key=lambda i: (i.order, i.graph_id, i.added))
     return ScanReport(source, max_order, len(entries), tuple(instances),
                       tuple(errors), tuple(skipped))
-
-
-# ---------------------------------------------------------------------------
-# k-edge scan
-
-class KEdgeWitness(NamedTuple):
-    added: tuple[Edge, ...]
-    mu_before: Fraction
-    mu_after: Fraction
-
-
-@dataclass(frozen=True)
-class KEdgeScanResult:
-    witnesses: tuple[KEdgeWitness, ...]
-    examined: int
-    exhausted: bool  # False means the budget ran out before the search space
-
-
-def k_edge_scan(g: Graph, k: int, budget: int | None = None,
-                early_exit: bool = False) -> KEdgeScanResult:
-    """Find k-subsets of non-edges whose joint addition decreases the mean.
-
-    Candidate sets are tried in lexicographic order.  `budget` bounds the
-    number of candidate sets examined; running out of budget is reported
-    distinctly from exhausting the space.  With `early_exit` the scan stops
-    at the first witness.  Means are compared by `compare_means`.  The
-    candidates sharing their first k - 1 edges P are consecutive and take
-    their statistics from one `added_edge_stats` pass over g + P, run when
-    the first of them is examined.  So `budget` counts candidate sets, not
-    work: a prefix's first candidate runs that prefix's whole pass.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if g.order > SCAN_MAX:
-        raise TooLargeError(f"k-edge scan capped at {SCAN_MAX} vertices")
-    if not g.is_connected():
-        raise ValueError("k-edge scan requires a connected graph")
-    if k == 0:
-        return KEdgeScanResult((), 0, True)
-    # for k = 1 the one pass, over g itself, gives stats(g) as well
-    base = subtree_stats_kirchhoff(g) if k > 1 else None
-    witnesses = []
-    examined = 0
-    exhausted = True
-    prefix = None
-    for fset in combinations(sorted(g.non_edges()), k):
-        if budget is not None and examined >= budget:
-            exhausted = False
-            break
-        examined += 1
-        if fset[:-1] != prefix:
-            prefix = fset[:-1]
-            start, through = added_edge_stats(g.add_edges(prefix))
-            if base is None:
-                base = start
-        after = start + through[fset[-1]]
-        if compare_means(after.total_order, after.count,
-                         base.total_order, base.count) < 0:
-            witnesses.append(KEdgeWitness(fset, mean(base), mean(after)))
-            if early_exit:
-                break
-    return KEdgeScanResult(tuple(witnesses), examined, exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,20 @@ def test_decrease_empty_length_range_exits_2(monkeypatch, capsys, lengths):
     assert err.startswith("error: empty length range")
 
 
+def test_decrease_core_too_short_for_the_chords_exits_2(monkeypatch, capsys):
+    from subtree_census import families
+
+    def no_census(*args):
+        raise AssertionError("census ran before the length checks")
+
+    monkeypatch.setattr(families, "_hub_census", no_census)
+    code, out, err = run_cli(capsys, "--deterministic", "decrease",
+                             "--k", "2", "--L-min", "3", "--L-max", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 2 fan chords need a core length of at least 4, not 3\n"
+
+
 def test_decrease_core_over_bound_exits_3_before_scanning(monkeypatch, capsys):
     from subtree_census import families
 

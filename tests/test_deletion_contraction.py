@@ -29,7 +29,7 @@ from subtree_census.census import (
 )
 from subtree_census.errors import TooLargeError
 from subtree_census.graphs import Graph, make_complete, make_path, mask_connected, parse_graph6
-from subtree_census.search import KEdgeScanResult, KEdgeWitness, k_edge_scan
+from subtree_census.search import KEdgeWitness, k_edge_scan
 
 from conftest import random_connected_graph, random_graph
 from test_search import _all_connected_graphs_up_to
@@ -99,22 +99,14 @@ def test_through_edge_rejects_non_edges_and_large_graphs():
 # ---------------------------------------------------------------------------
 # k_edge_scan against one full census per candidate set
 
-def _full_census_scan(g, k, budget=None, early_exit=False):
+def _full_census_witnesses(g, fsets):
     mu0 = mean(subtree_stats_kirchhoff(g))
-    witnesses = []
-    examined = 0
-    exhausted = True
-    for fset in combinations(sorted(g.non_edges()), k):
-        if budget is not None and examined >= budget:
-            exhausted = False
-            break
-        examined += 1
-        mu1 = mean(subtree_stats_kirchhoff(g.add_edges(fset)))
-        if mu1 < mu0:
-            witnesses.append(KEdgeWitness(fset, mu0, mu1))
-            if early_exit:
-                break
-    return KEdgeScanResult(tuple(witnesses), examined, exhausted)
+    return tuple(KEdgeWitness(fset, mu0, mu1) for fset in fsets
+                 if (mu1 := mean(subtree_stats_kirchhoff(g.add_edges(fset)))) < mu0)
+
+
+def _full_census_scan(g, k):
+    return _full_census_witnesses(g, combinations(sorted(g.non_edges()), k))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -125,23 +117,16 @@ def test_k_edge_scan_matches_full_census_on_small_graphs(k):
         assert k_edge_scan(g, k) == _full_census_scan(g, k), g
 
 
-@pytest.mark.parametrize("k, kwargs", [
-    (2, {}),
-    (2, {"budget": 3}),
-    (2, {"budget": 4}),
-    (2, {"early_exit": True}),
-    (3, {"budget": 100}),
-    (3, {"budget": 100, "early_exit": True}),
-])
-def test_k_edge_scan_matches_full_census_with_witnesses(k, kwargs):
+@pytest.mark.parametrize("k, first", [(2, 300), (3, 100)])
+def test_k_edge_scan_matches_full_census_with_witnesses(k, first):
+    # full censuses of the first candidate sets (all 300 for k = 2, 100 of
+    # 2300 for k = 3) and of every witness
     g = parse_graph6(K_WITNESS_G6)
-    got = k_edge_scan(g, k, **kwargs)
-    assert got == _full_census_scan(g, k, **kwargs)
-    budget = kwargs.get("budget")
-    assert got.exhausted == (budget is None or got.examined < budget)
-    if budget != 3:
-        assert got.witnesses
-        assert all(w.mu_after < w.mu_before for w in got.witnesses)
+    got = k_edge_scan(g, k)
+    head = list(combinations(sorted(g.non_edges()), k))[:first]
+    assert got and got[0].added in head
+    assert tuple(w for w in got if w.added in head) == _full_census_witnesses(g, head)
+    assert got == _full_census_witnesses(g, [w.added for w in got])
 
 
 # ---------------------------------------------------------------------------

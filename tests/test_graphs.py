@@ -77,10 +77,12 @@ def test_broom_cores():
 
 def test_fan_core_rejects_path_edge_chord():
     # with length k+1 the last chord would duplicate a path edge
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 4, not 3"):
         make_fan_broom_core(3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3, not 2"):
         make_fan_broom_core(2, 1)
+    with pytest.raises(ValueError, match="at least 4, not 2"):
+        make_fan_broom_core(2, 2)
     with pytest.raises(ValueError):
         make_chorded_broom_core(5, [(2, 3)])
 

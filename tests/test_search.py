@@ -30,7 +30,6 @@ from subtree_census.search import (
     _sweep_range,
     _tree_classes,
     corpus_scan,
-    edge_addition_scan,
     k_edge_scan,
     tree_bound_sweep,
 )
@@ -52,11 +51,10 @@ def _all_connected_graphs_up_to(n_max):
 
 
 # ---------------------------------------------------------------------------
-# edge_addition_scan
+# k_edge_scan with k = 1
 
 def test_p3_closing_edge_not_reported():
-    hits = edge_addition_scan(make_path(3))
-    assert hits == []  # mu rises from 5/3 to 2
+    assert k_edge_scan(make_path(3), 1) == ()  # mu rises from 5/3 to 2
 
 
 def test_scan_small_trees_all_exact():
@@ -64,31 +62,31 @@ def test_scan_small_trees_all_exact():
     for _ in range(20):
         n = rng.randint(2, 6)
         t = Graph.of(n, [(rng.randrange(v), v) for v in range(1, n)])
-        for hit in edge_addition_scan(t):
-            g2 = t.add_edges([hit.added])
-            assert mean(subtree_stats_bruteforce(g2)) == hit.mu_after
-            assert mean(subtree_stats_bruteforce(t)) == hit.mu_before
-            assert hit.mu_after < hit.mu_before
+        for w in k_edge_scan(t, 1):
+            g2 = t.add_edges(w.added)
+            assert mean(subtree_stats_bruteforce(g2)) == w.mu_after
+            assert mean(subtree_stats_bruteforce(t)) == w.mu_before
+            assert w.mu_after < w.mu_before
 
 
 def test_scan_complete_minus_edge():
     for n in (4, 5, 6):
         g = make_complete(n).remove_edges([(0, 1)])
-        hits = edge_addition_scan(g)
+        witnesses = k_edge_scan(g, 1)
         # exact comparison against brute force either way
         mu0 = mean(subtree_stats_bruteforce(g))
         mu1 = mean(subtree_stats_bruteforce(make_complete(n)))
         if mu1 < mu0:
-            assert [h.added for h in hits] == [(0, 1)]
+            assert [w.added for w in witnesses] == [((0, 1),)]
         else:
-            assert hits == []
+            assert witnesses == ()
 
 
 def test_scan_rejects_disconnected_and_oversize():
     with pytest.raises(ValueError):
-        edge_addition_scan(Graph.of(3, [(0, 1)]))
+        k_edge_scan(Graph.of(3, [(0, 1)]), 1)
     with pytest.raises(TooLargeError):
-        edge_addition_scan(make_path(21))
+        k_edge_scan(make_path(21), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,8 @@ def test_edge_addition_scan_finds_witness():
     assert (g.order, g.size) == (7, 12)
     assert (mean(subtree_stats_bruteforce(g)),
             mean(subtree_stats_bruteforce(g.add_edges([WITNESS_EDGE])))) == WITNESS_MU
-    assert edge_addition_scan(g) == [(WITNESS_EDGE, *WITNESS_MU)]
+    assert len(g.non_edges()) == 9
+    assert k_edge_scan(g, 1) == (((WITNESS_EDGE,), *WITNESS_MU),)
 
 
 def test_corpus_scan_reports_witnesses_across_jobs():
@@ -181,29 +180,23 @@ def test_corpus_scan_rejects_max_order_below_1(max_order):
 # k_edge_scan
 
 def test_k_edge_scan_k0():
-    res = k_edge_scan(make_path(4), 0)
-    assert res.witnesses == () and res.exhausted
+    assert k_edge_scan(make_path(4), 0) == ()
+    with pytest.raises(ValueError):
+        k_edge_scan(make_path(4), -1)
 
 
 def test_k_edge_scan_complete_graph_no_candidates():
-    res = k_edge_scan(make_complete(5), 2)
-    assert res.witnesses == () and res.exhausted and res.examined == 0
-
-
-def test_k_edge_scan_budget_truncation_reported():
-    g = make_path(6)
-    res = k_edge_scan(g, 2, budget=3)
-    assert res.examined == 3 and not res.exhausted
+    assert k_edge_scan(make_complete(5), 2) == ()
 
 
 def test_k_edge_scan_exact_vs_bruteforce():
     g = make_star(4)
-    res = k_edge_scan(g, 1)
+    witnesses = k_edge_scan(g, 1)
     mu0 = mean(subtree_stats_bruteforce(g))
-    for w in res.witnesses:
+    for w in witnesses:
         assert mean(subtree_stats_bruteforce(g.add_edges(w.added))) == w.mu_after < mu0
     # cross-check the non-witnesses too
-    witness_sets = {w.added for w in res.witnesses}
+    witness_sets = {w.added for w in witnesses}
     for e in g.non_edges():
         mu1 = mean(subtree_stats_bruteforce(g.add_edges([e])))
         assert (mu1 < mu0) == ((e,) in witness_sets)
@@ -217,30 +210,11 @@ def test_k_edge_scan_confirms_family_witness():
     from subtree_census.graphs import make_double_broom
     length, s = 5, 1
     g = make_double_broom(length, s)
-    res = k_edge_scan(g, 1)
     mu0 = mean(broom_stats(length, s))
     chord = (0, length - 1)
-    in_witnesses = any(w.added == (chord,) for w in res.witnesses)
+    in_witnesses = any(w.added == (chord,) for w in k_edge_scan(g, 1))
     mu1 = mean(fan_broom_stats(length, s, 1))
     assert in_witnesses == (mu1 < mu0)
-
-
-def test_k_edge_scan_early_exit():
-    g = make_star(5)
-    full = k_edge_scan(g, 1)
-    if full.witnesses:
-        early = k_edge_scan(g, 1, early_exit=True)
-        assert early.witnesses == full.witnesses[:1]
-
-
-def test_k_edge_scan_early_exit_stops_at_witness():
-    g = parse_graph6(WITNESS_G6)
-    full = k_edge_scan(g, 1)
-    early = k_edge_scan(g, 1, early_exit=True)
-    assert full.examined == len(g.non_edges()) == 9
-    assert full.witnesses == (((WITNESS_EDGE,), *WITNESS_MU),)
-    assert early.examined == 6
-    assert early.witnesses == full.witnesses
 
 
 def test_k_edge_scan_at_scan_max_agrees_with_rooted_censuses():
@@ -250,13 +224,13 @@ def test_k_edge_scan_at_scan_max_agrees_with_rooted_censuses():
     g = Graph.of(SCAN_MAX, [(rng.randrange(v), v) for v in range(1, SCAN_MAX)])
     g = g.add_edges(rng.sample([e for e in combinations(range(SCAN_MAX), 2)
                                 if e not in g.edges], 2))
-    res = k_edge_scan(g, 1)
-    assert res.examined == len(g.non_edges()) == 169 and res.exhausted
-    assert len(res.witnesses) == 14
+    found = k_edge_scan(g, 1)
+    assert len(g.non_edges()) == 169
+    assert len(found) == 14
     base = subtree_stats_kirchhoff(g)
     mu0 = mean(base)
-    witnesses = {w.added[0]: w for w in res.witnesses}
-    sample = random.Random(1916).sample(g.non_edges(), 6) + [w.added[0] for w in res.witnesses[:2]]
+    witnesses = {w.added[0]: w for w in found}
+    sample = random.Random(1916).sample(g.non_edges(), 6) + [w.added[0] for w in found[:2]]
     for e in sample:
         mu1 = mean(base + through_edge_stats(g.add_edges([e]), *e))
         assert (e in witnesses) == (mu1 < mu0), e
@@ -264,16 +238,9 @@ def test_k_edge_scan_at_scan_max_agrees_with_rooted_censuses():
             assert witnesses[e].mu_before == mu0 and witnesses[e].mu_after == mu1
 
 
-@pytest.mark.parametrize("k, kwargs", [
-    (2, {}),
-    (2, {"budget": 10}),
-    (2, {"early_exit": True}),
-    (3, {"budget": 100}),
-    (3, {"budget": 100, "early_exit": True}),
-])
-def test_k_edge_scan_runs_one_pass_per_examined_prefix(monkeypatch, k, kwargs):
-    # a pass runs when the first candidate of its prefix is examined, never
-    # for a prefix the budget or an early exit cut off
+@pytest.mark.parametrize("k", [2, 3])
+def test_k_edge_scan_runs_one_pass_per_examined_prefix(monkeypatch, k):
+    # one pass over g + P for each (k-1)-edge prefix P, in lexicographic order
     g = parse_graph6("ILbIibOaw")
     calls = []
 
@@ -281,10 +248,8 @@ def test_k_edge_scan_runs_one_pass_per_examined_prefix(monkeypatch, k, kwargs):
         calls.append(h)
         return added_edge_stats(h)
     monkeypatch.setattr(search, "added_edge_stats", counted)
-    res = k_edge_scan(g, k, **kwargs)
-    assert res.witnesses
-    examined = list(combinations(sorted(g.non_edges()), k))[:res.examined]
-    prefixes = list(dict.fromkeys(fset[:-1] for fset in examined))
+    assert k_edge_scan(g, k)
+    prefixes = dict.fromkeys(fset[:-1] for fset in combinations(sorted(g.non_edges()), k))
     assert calls == [g.add_edges(p) for p in prefixes]
 
 

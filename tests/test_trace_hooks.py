@@ -11,13 +11,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import spans
-from subtree_census import census
+from subtree_census import census, families
 
-before = census.marked_census
+names = [(census, "marked_census"), (families, "_hub_census"),
+         (families, "_marked_core_census")]
+before = [getattr(owner, name) for owner, name in names]
 restore = spans.Tracer("t").install()
-assert census.marked_census is not before
+assert all(getattr(owner, name) is not b for (owner, name), b in zip(names, before))
 restore()
-assert census.marked_census is before
+assert all(getattr(owner, name) is b for (owner, name), b in zip(names, before))
 print("ok")
 """
 
