@@ -21,19 +21,20 @@ test oracle: the same numbers for one edge by deletion-contraction, the
 difference of two plain censuses.
 
 `marked_census` partitions the statistics by which marked vertices and how
-many tracked edges each subtree contains, reading every tracked-edge cell
-of a connected subset off one weighted determinant of its core (`_tau_mask`
-is the only Laplacian builder); `census_with_required` is the top tracked
-cell of that census.  `attach_pendant_stars` turns a census over hub vertices into
-exact statistics for the graph with pendant stars attached at the hubs,
-with bit shifts alone and without ever materializing the leaves.
+many tracked edges each subtree contains; it and `subtree_stats_kirchhoff`
+share one pass, `_census_cells`, that sums weighted spanning-tree counts
+into cells keyed by an int mark mask (`_tau_mask` is the only Laplacian
+builder).  `census_with_required` is the top tracked cell of that census.
+`attach_pendant_stars` turns a census over hub vertices into exact
+statistics for the graph with pendant stars attached at the hubs, with bit
+shifts alone and without ever materializing the leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvariantViolation, NotATreeError, TooLargeError
 from .graphs import Edge, Graph, VertexSet, edge, mask_connected
@@ -235,27 +236,6 @@ def _tau_mask(g: Graph, mask: int, weights: dict[Edge, int] | None = None) -> in
     return _bareiss_det(lap) if lap else 1
 
 
-def _iter_core_tau(g: Graph, weights: dict[Edge, int] | None = None) -> Iterator[tuple[int, int, int]]:
-    """(mask, core, tau_w(core)) for every connected subset `mask` and its
-    2-core `core`.
-
-    A leaf's edge lies in every spanning tree, so tau_w(mask) is tau_w(core)
-    times the weights of the stripped edges; unweighted, the two are equal.
-    One determinant serves every subset with the same core.  Only cores
-    reached by stripping enter the memo; a subset that is its own core is
-    computed directly, so leafless (dense) graphs store nothing.
-    """
-    memo: dict[int, int] = {}
-    for mask, core in _iter_connected_masks(g.adjacency, g.order):
-        if core == mask:
-            yield mask, core, _tau_mask(g, mask, weights)
-            continue
-        tau = memo.get(core)
-        if tau is None:
-            tau = memo[core] = _tau_mask(g, core, weights)
-        yield mask, core, tau
-
-
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees; 0 for disconnected input."""
     if g.order > SPANNING_MAX:
@@ -268,16 +248,52 @@ def spanning_tree_count(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Subtree statistics
 
+def _census_cells(g: Graph, mark_mask: int = 0, tracked: Sequence[Edge] = (),
+                  bits: int = 0) -> dict[int, tuple[int, int]]:
+    """cells[key] = (count, total order) of the subtrees whose vertex set S
+    has S & mark_mask = key, from one pass over the connected subsets.
+
+    S has the spanning trees of its 2-core, since a leaf's edge lies in
+    every one, so one determinant serves every subset with the same core;
+    only stripped cores enter the memo, so leafless graphs store nothing.
+    A `tracked` edge weighs X = 2**bits, and each one stripped multiplies
+    the core's weighted count by X.  The running cell is flushed only when
+    the key changes.
+    """
+    tr_masks = [1 << u | 1 << v for u, v in tracked]
+    weights = {e: 1 << bits for e in tracked} or None
+    memo: dict[int, int] = {}
+    cells: dict[int, tuple[int, int]] = {}
+    key = count = total = 0
+    for mask, core in _iter_connected_masks(g.adjacency, g.order):
+        if core == mask:
+            value = _tau_mask(g, mask, weights)
+        else:
+            value = memo.get(core)
+            if value is None:
+                value = memo[core] = _tau_mask(g, core, weights)
+        if tr_masks:
+            t = sum(1 for em in tr_masks if mask & em == em)
+            if core != mask:
+                value <<= bits * (t - sum(1 for em in tr_masks if core & em == em))
+            if value <= 0 or value >> (bits * (t + 1)):
+                raise InvariantViolation("tracked-edge polynomial outside its digit range")
+        if mask & mark_mask != key:
+            c, s = cells.get(key, (0, 0))
+            cells[key] = (c + count, s + total)
+            key, count, total = mask & mark_mask, 0, 0
+        count += value
+        total += value * mask.bit_count()
+    c, s = cells.get(key, (0, 0))
+    cells[key] = (c + count, s + total)
+    return cells
+
+
 def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
     """Sum spanning-tree counts over all connected vertex subsets."""
     if g.order > CENSUS_MAX:
         raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
-    count = 0
-    total = 0
-    for mask, _, tau in _iter_core_tau(g):
-        count += tau
-        total += tau * mask.bit_count()
-    return SubtreeStats(count, total)
+    return SubtreeStats(*_census_cells(g)[0])
 
 
 def through_edge_stats(g: Graph, u: int, v: int) -> SubtreeStats:
@@ -476,8 +492,7 @@ def enumerate_subtrees(g: Graph) -> Iterator[Subtree]:
 
 def subtree_stats_bruteforce(g: Graph) -> SubtreeStats:
     """Fold of `enumerate_subtrees`; independent of the determinant route."""
-    count = 0
-    total = 0
+    count = total = 0
     for t in enumerate_subtrees(g):
         count += 1
         total += len(t.vertices)
@@ -508,10 +523,7 @@ class MarkedCensus:
     table: dict[tuple[VertexSet, int], SubtreeStats]
 
     def total(self) -> SubtreeStats:
-        out = ZERO_STATS
-        for stats in self.table.values():
-            out = out + stats
-        return out
+        return sum(self.table.values(), ZERO_STATS)
 
     def cell(self, marks: Iterable[int], tracked_count: int = 0) -> SubtreeStats:
         return self.table.get((frozenset(marks), tracked_count), ZERO_STATS)
@@ -537,38 +549,27 @@ def marked_census(g: Graph, marked: Iterable[int],
     """Partition subtree statistics by marked-vertex containment and
     tracked-edge count.
 
-    The tracked dimension uses the weighted Matrix-Tree theorem with one
-    determinant per connected subset: every tracked edge gets the weight
-    X = 2**bits, bits = max(1, |E(g)|), so the weighted count is the
-    spanning-tree polynomial P(X) = sum_j c_j X**j, c_j the spanning trees
-    with exactly j tracked edges.  A k-vertex subset with e >= 1 inner
-    edges has at most C(e, k-1) < 2**e <= X spanning trees, so the base-X
-    digits of P(X) are exactly c_0, ..., c_t, t the tracked edges inside.
+    Every tracked edge weighs X = 2**bits, so a subset's weighted spanning-
+    tree count is P(X) = sum_j c_j X**j, c_j the trees with j tracked edges
+    (weighted Matrix-Tree theorem).  A graph has at most 2**|E| + n - 1
+    subtrees of order at most n, so with bits = |E| + 2*bit_length(n) + 1
+    the base-X digits of a cell's sums are its statistics by tracked count.
     """
     if g.order > CENSUS_MAX:
         raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     marks, tr = _check_census_args(g, marked, tracked)
-    bits = max(1, g.size)
+    bits = g.size + 2 * g.order.bit_length() + 1
     digit = (1 << bits) - 1
-    weights = {e: 1 << bits for e in tr} or None
-    tr_masks = [1 << u | 1 << v for u, v in tr]
+    top = bits * (len(tr) + 1)
     table: dict[tuple[VertexSet, int], SubtreeStats] = {}
-    for mask, core, value in _iter_core_tau(g, weights):
-        size = bin(mask).count("1")
-        cell_marks = frozenset(v for v in marks if mask >> v & 1)
-        t = sum(1 for em in tr_masks if mask & em == em)
-        if core != mask:
-            # each stripped tracked edge multiplies the count by X
-            value <<= bits * (t - sum(1 for em in tr_masks if core & em == em))
-        if value <= 0 or value >> (bits * (t + 1)):
-            raise InvariantViolation("tracked-edge polynomial outside its digit range")
-        for j in range(t + 1):
-            coeff = value >> (bits * j) & digit
-            if coeff == 0:
-                continue
-            key = (cell_marks, j)
-            prev = table.get(key, ZERO_STATS)
-            table[key] = SubtreeStats(prev.count + coeff, prev.total_order + coeff * size)
+    for key, (count, total) in _census_cells(g, sum(1 << v for v in marks), tr, bits).items():
+        if count >> top or total >> top:
+            raise InvariantViolation("tracked-edge cell sum above its top digit")
+        cell_marks = frozenset(v for v in marks if key >> v & 1)
+        for j in range(len(tr) + 1):
+            c = count >> bits * j & digit
+            if c:
+                table[(cell_marks, j)] = SubtreeStats(c, total >> bits * j & digit)
     return MarkedCensus(marks, frozenset(tr), table)
 
 
@@ -580,8 +581,7 @@ def marked_census_bruteforce(g: Graph, marked: Iterable[int],
     table: dict[tuple[VertexSet, int], SubtreeStats] = {}
     for t in enumerate_subtrees(g):
         key = (marks & t.vertices, len(tr_set & t.edges))
-        prev = table.get(key, ZERO_STATS)
-        table[key] = SubtreeStats(prev.count + 1, prev.total_order + len(t.vertices))
+        table[key] = table.get(key, ZERO_STATS) + SubtreeStats(1, len(t.vertices))
     return MarkedCensus(marks, tr_set, table)
 
 
@@ -598,8 +598,7 @@ def census_with_required(g: Graph, marked: Iterable[int],
     req = list(required)
     full = marked_census(g, marked, req)
     return MarkedCensus(full.marked, full.tracked,
-                        {(marks, cnt): stats for (marks, cnt), stats in full.table.items()
-                         if cnt == len(req)})
+                        {key: stats for key, stats in full.table.items() if key[1] == len(req)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .errors import TooLargeError
 BRUTE_MAX = 12           # vertices: explicit subtree listing, 2**n subsets each backtracked
 CENSUS_MAX = 22          # vertices: connected-subset census, so also family core length
 SPANNING_MAX = 40        # vertices: one Kirchhoff determinant of a whole graph
-MARKED_MAX = 6           # marked vertices per census: up to 2**6 cells per subset
+MARKED_MAX = 6           # marked vertices per census: up to 2**6 mark cells, one per subset
 EXPONENT_CAP = 1 << 20   # bits of an exact power: 2**s per star, (a+1)**(n-b) per stem class
 MAX_MATERIALIZED = 64    # vertices: graphs built from family or host parameters
 SCAN_MAX = 20            # vertices: k-edge addition scan, one 2-forest pass per (k-1)-edge prefix

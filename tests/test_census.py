@@ -467,7 +467,7 @@ def _two_core(g, vs):
 
 def test_one_determinant_per_distinct_core(monkeypatch):
     # subsets that are their own core get a determinant each; all others
-    # share one per distinct core
+    # share one per distinct core, in the plain and the tracked census alike
     from subtree_census import census
     from subtree_census.graphs import make_fan_broom
 
@@ -476,13 +476,29 @@ def test_one_determinant_per_distinct_core(monkeypatch):
     monkeypatch.setattr(census, "_tau_mask",
                         lambda g, mask, *args, **kwargs: calls.append(mask) or tau(g, mask, *args, **kwargs))
     rng = random.Random(610)
-    for g in (make_fan_broom(6, 3, 2), _leafy_graph(rng, make_cycle(5), 12)):
+    fan = make_fan_broom(6, 3, 2)
+    hubs, chords = {0, 5}, [(0, 5), (1, 5)]
+    leafy = _leafy_graph(rng, make_cycle(5), 12)
+    for g, same in ((fan, lambda: subtree_stats_kirchhoff(fan) == subtree_stats_bruteforce(fan)),
+                    (fan, lambda: marked_census(fan, hubs, chords).table
+                     == marked_census_bruteforce(fan, hubs, chords).table),
+                    (leafy, lambda: subtree_stats_kirchhoff(leafy) == subtree_stats_bruteforce(leafy))):
         calls.clear()
-        assert subtree_stats_kirchhoff(g) == subtree_stats_bruteforce(g)
+        assert same()
         cores = {vs: _two_core(g, vs) for vs in iter_connected_subsets(g)}
         own = sum(1 for vs, core in cores.items() if vs == core)
         shared = {core for vs, core in cores.items() if vs != core}
         assert len(calls) == own + len(shared) < len(cores) // 10
+
+
+def test_tracked_polynomial_out_of_range_raises(monkeypatch):
+    # a tracked subset's weighted count must be a positive polynomial of at
+    # most t + 1 digits; a zero determinant is caught
+    from subtree_census import census
+
+    monkeypatch.setattr(census, "_tau_mask", lambda g, mask, *args, **kwargs: 0)
+    with pytest.raises(InvariantViolation):
+        marked_census(make_cycle(4), {0}, [(0, 1)])
 
 
 def test_tree_census_matches_tree_dp_above_bruteforce_size():
