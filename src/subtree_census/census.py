@@ -260,6 +260,8 @@ def _census_cells(g: Graph, mark_mask: int = 0, tracked: Sequence[Edge] = (),
     the core's weighted count by X.  The running cell is flushed only when
     the key changes.
     """
+    if g.order > CENSUS_MAX:
+        raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     tr_masks = [1 << u | 1 << v for u, v in tracked]
     weights = {e: 1 << bits for e in tracked} or None
     memo: dict[int, int] = {}
@@ -291,8 +293,6 @@ def _census_cells(g: Graph, mark_mask: int = 0, tracked: Sequence[Edge] = (),
 
 def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
     """Sum spanning-tree counts over all connected vertex subsets."""
-    if g.order > CENSUS_MAX:
-        raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     return SubtreeStats(*_census_cells(g)[0])
 
 
@@ -555,8 +555,6 @@ def marked_census(g: Graph, marked: Iterable[int],
     subtrees of order at most n, so with bits = |E| + 2*bit_length(n) + 1
     the base-X digits of a cell's sums are its statistics by tracked count.
     """
-    if g.order > CENSUS_MAX:
-        raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
     marks, tr = _check_census_args(g, marked, tracked)
     bits = g.size + 2 * g.order.bit_length() + 1
     digit = (1 << bits) - 1

@@ -34,14 +34,14 @@ CSV_SCHEMA = "# schema=1"
 # digits by default; above this many bits, _int_str converts through
 # decimal instead, whose multiplication is subquadratic.
 _STR_BITS = 8000
-_SPLIT_BITS = 128
 
 
 def _int_str(n: int) -> str:
     """Exact decimal digits of n at any size, without touching the
     interpreter's int-str digit limit.
 
-    The integer is split in binary, n = hi * 2**w + lo, and the halves are
+    The integer is split in binary, n = hi * 2**w + lo, until each part has
+    at most `_STR_BITS` bits; `str` converts the parts, and they are
     recombined in a decimal context wide enough to stay exact (the method
     of CPython 3.12's _pylong module).
     """
@@ -52,13 +52,13 @@ def _int_str(n: int) -> str:
     def pow2(w: int) -> Decimal:
         if w not in powers:
             half = w >> 1
-            powers[w] = (Decimal(2) ** w if w <= _SPLIT_BITS
+            powers[w] = (Decimal(2) ** w if w <= _STR_BITS
                          else pow2(half) * pow2(w - half))
         return powers[w]
 
     def convert(m: int, w: int) -> Decimal:
-        if w <= _SPLIT_BITS:
-            return Decimal(m)
+        if w <= _STR_BITS:
+            return Decimal(str(m))
         half = w >> 1
         hi = m >> half
         return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
@@ -102,8 +102,6 @@ def _emit(record: dict, rows: list[dict], args) -> None:
         return
     print(CSV_SCHEMA)
     for key, value in sorted(record.items()):
-        if key == "rows":
-            continue
         if isinstance(value, dict):
             for k2, v2 in sorted(value.items()):
                 print(f"# {key}.{k2}={v2}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, gcd
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .census import (
     MarkedCensus,
@@ -57,13 +57,6 @@ def default_star_rule(n: int) -> int:
     return (n * n - 1).bit_length()
 
 
-def _pow2_at_least(s: int, m: int) -> bool:
-    """Whether 2**s >= m, without forming 2**s."""
-    if m <= 1:
-        return True
-    return s >= (m - 1).bit_length()
-
-
 _VALID_N_HORIZON = 1 << 16  # the n scanned by `StarSizeSequence.min_valid_n`
 
 
@@ -72,6 +65,11 @@ class StarSizeSequence:
     """A rule n -> s_n together with the validity conditions that make the
     family constructions work: the core keeps at least k+1 vertices, and
     2**s_n grows at least like n**2.
+
+    The core condition is one vertex looser than `make_fan_broom_core`,
+    which needs k + 2 core vertices for k fan chords.  So for k = 1
+    `min_valid_n()` is 20, whose core of length 2 has no fan variant, and
+    `density_trend` skips that n.
     """
 
     k: int
@@ -84,12 +82,13 @@ class StarSizeSequence:
         return s
 
     def core_condition(self, n: int) -> bool:
-        """2*s_n <= n - k - 1."""
+        """2*s_n <= n - k - 1: a core of at least k + 1 vertices, one fewer
+        than the k fan chords need."""
         return 2 * self.star_size(n) <= n - self.k - 1
 
     def growth_condition(self, n: int) -> bool:
-        """2**s_n >= n**2."""
-        return _pow2_at_least(self.star_size(n), n * n)
+        """2**s_n >= n**2, that is s_n >= `default_star_rule(n)`."""
+        return self.star_size(n) >= default_star_rule(n)
 
     def validate(self, n: int):
         if not self.core_condition(n):
@@ -163,6 +162,11 @@ def star_mean(census: MarkedCensus, s: int, stats: SubtreeStats) -> Fraction:
     their resultant R, an integer of about 90 bits (von zur Gathen and
     Gerhard, Modern Computer Algebra, ch. 6), so the gcd is taken modulo R.
     R = 0 (P and Q share a factor) or h != 2 falls back to `Fraction`.
+
+    Nothing checks that `stats` is `star_stats(census, s)`.  Given other
+    statistics, such as `star_stats(census, s, singletons=False)`, the
+    result can be an unreduced `Fraction` whose numerator and denominator
+    share a factor.
     """
     t, c = stats.total_order, stats.count
     if len(census.marked) == 2:
@@ -338,11 +342,23 @@ def geometric_star_sizes(s_max: int) -> list[int]:
     return out
 
 
+def _decreases(base: MarkedCensus, added: MarkedCensus,
+               sizes: list[int]) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(s, mu_base, mu_added) for each star size s, in order, at which
+    `added` with s leaves per hub has the strictly smaller mean.  Means are
+    compared exactly, by `compare_means`, and reduced only for a hit."""
+    for s in sizes:
+        b = star_stats(base, s)
+        a = star_stats(added, s)
+        if compare_means(a.total_order, a.count, b.total_order, b.count) < 0:
+            yield s, star_mean(base, s, b), star_mean(added, s, a)
+
+
 def find_decrease_witnesses(k: int, lengths: Iterable[int],
                             star_sizes: Iterable[int]) -> list[DecreaseWitness]:
     """All (length, star size) pairs in the given ranges where adding the k
-    fan chords strictly decreases the mean subtree order.  Means are compared
-    exactly, by `compare_means`; scan order is lengths-major."""
+    fan chords strictly decreases the mean subtree order; scan order is
+    lengths-major."""
     if k < 1:
         raise ValueError("k must be >= 1")
     lengths = list(lengths)
@@ -350,22 +366,11 @@ def find_decrease_witnesses(k: int, lengths: Iterable[int],
     # fail on any out-of-range point before the first census
     for length in lengths:
         _check_core(length)
-        if length < k + 2:
-            raise ValueError(f"{k} fan chords need a core length of at least {k + 2}, not {length}")
+        make_fan_broom_core(length, k)
     for s in sizes:
         check_leaf_count(s)
-    witnesses = []
-    for length in lengths:
-        base_census = broom_census(length)
-        added_census = fan_broom_census(length, k)
-        for s in sizes:
-            base = star_stats(base_census, s)
-            added = star_stats(added_census, s)
-            if compare_means(added.total_order, added.count,
-                             base.total_order, base.count) < 0:
-                witnesses.append(DecreaseWitness(length, s, star_mean(base_census, s, base),
-                                                 star_mean(added_census, s, added)))
-    return witnesses
+    return [DecreaseWitness(length, *hit) for length in lengths
+            for hit in _decreases(broom_census(length), fan_broom_census(length, k), sizes)]
 
 
 class ChordWitness(NamedTuple):
@@ -384,6 +389,8 @@ def find_chorded_decrease_witness(k: int, lengths: Iterable[int],
     if k < 1:
         raise ValueError("k must be >= 1")
     sizes = list(star_sizes)
+    for s in sizes:
+        check_leaf_count(s)
     for length in lengths:
         max_span = (length - 1) // k
         if max_span < 2:
@@ -392,13 +399,8 @@ def find_chorded_decrease_witness(k: int, lengths: Iterable[int],
         for span in range(max_span, 1, -1):
             chords = equal_span_chords(length, k, span)
             added_census = chorded_broom_census(length, chords)
-            for s in sizes:
-                base = star_stats(base_census, s)
-                added = star_stats(added_census, s)
-                if compare_means(added.total_order, added.count,
-                                 base.total_order, base.count) < 0:
-                    return ChordWitness(length, s, span, chords, star_mean(base_census, s, base),
-                                        star_mean(added_census, s, added))
+            for s, mu_base, mu_added in _decreases(base_census, added_census, sizes):
+                return ChordWitness(length, s, span, chords, mu_base, mu_added)
     return None
 
 
@@ -459,8 +461,9 @@ def density_trend(k: int, sequence: StarSizeSequence, ns: Iterable[int]) -> Tren
     """Exact densities of the base and fan families along a star-size rule.
 
     Rows report sigma = mu/n for both graphs at each feasible n; infeasible
-    points (core too long or too short for the chords) are skipped with a
-    notice.  No limit is asserted; this is a finite trend table.
+    points (core too long for the census or too short for the chords) are
+    skipped with the refusal of `fan_broom_census`.  No limit is asserted;
+    this is a finite trend table.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -469,13 +472,11 @@ def density_trend(k: int, sequence: StarSizeSequence, ns: Iterable[int]) -> Tren
     for n in ns:
         s = sequence.star_size(n)
         length = n - 2 * s
-        if length < max(2, k + 2):
-            skipped.append((n, f"core length {length} too short for {k} chords"))
-            continue
-        if length > CENSUS_MAX:
-            skipped.append((n, f"core length {length} exceeds census bound {CENSUS_MAX}"))
+        try:
+            added = fan_broom_census(length, k)
+        except (ValueError, TooLargeError) as exc:
+            skipped.append((n, str(exc)))
             continue
         base = broom_stats(length, s)
-        added = fan_broom_stats(length, s, k)
-        rows.append(TrendRow(n, length, s, density(base, n), density(added, n)))
+        rows.append(TrendRow(n, length, s, density(base, n), density(star_stats(added, s), n)))
     return TrendReport(k, tuple(rows), tuple(skipped))

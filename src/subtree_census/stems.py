@@ -248,13 +248,12 @@ def graph_mean_order(variant: str, m: int, n: int) -> Fraction:
     """Exact mean subtree order of the complete split graph (variant
     "split") or of the complete bipartite graph (variant "bipartite"),
     assembled from the stem classes plus the n single-B-vertex subtrees."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     _check_grid(m, n)
     lcm = math.lcm(*range(1, m + 2))
+    rows = _a_rows(variant, m, lcm)
     binom = [comb(n, b) for b in range(m)]
     powers = [(a + 1) ** max(n - a + 1, 0) for a in range(1, m + 1)]
-    total, count = _host_at(_a_rows(variant, m, lcm), binom, powers, n, lcm)
+    total, count = _host_at(rows, binom, powers, n, lcm)
     return Fraction(total, lcm * count)
 
 

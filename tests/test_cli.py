@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import sys
@@ -203,6 +204,15 @@ def test_scan_cli_with_warnings_exits_zero(tmp_path, capsys):
     assert any("line 2" in w for w in rec["warnings"])
 
 
+def test_scan_stdin_csv_lists_warnings(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("FXhew\n!!\n"))
+    code, out, _ = run_cli(capsys, "--deterministic", "--format", "csv",
+                           "scan", "--file", "-")
+    assert code == 0
+    assert "# warnings: line 2: out-of-range byte 33 (byte offset 0)\n" in out
+    assert "7,FXhew,2-6,316/55,9232/1607," in out
+
+
 def test_tree_bound_cli(capsys):
     code, out, _ = run_cli(capsys, "--deterministic", "tree-bound", "--n-max", "5")
     rec = json.loads(out)
@@ -353,6 +363,13 @@ def test_mu_family_bad_values_exit_codes(capsys, argv, want):
     code, out, err = run_cli(capsys, "mu", *argv)
     assert code == want
     assert out == "" and err.startswith("error: ")
+
+
+def test_mu_family_needs_l_and_s(capsys):
+    code, out, err = run_cli(capsys, "mu", "--family", "broom", "--L", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --family needs --L and --s\n"
 
 
 @pytest.mark.parametrize("argv,want", [

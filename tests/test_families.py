@@ -333,6 +333,22 @@ def test_decrease_scan_rejects_out_of_range_points_before_any_census(monkeypatch
         find_decrease_witnesses(1, range(3, 6), [0, 1, -1])
 
 
+def test_chorded_search_rejects_out_of_range_sizes_before_any_census(monkeypatch):
+    from subtree_census import families
+    from subtree_census.census import EXPONENT_CAP
+
+    def no_census(*args):
+        raise AssertionError("census ran before the range checks")
+
+    monkeypatch.setattr(families, "_hub_census", no_census)
+    with pytest.raises(ValueError, match="negative leaf count"):
+        find_chorded_decrease_witness(2, range(4, 10), [0, -1])
+    with pytest.raises(TooLargeError, match="exponent cap"):
+        find_chorded_decrease_witness(2, range(4, 10), [EXPONENT_CAP + 1])
+    # a length with no room for two chords of span >= 2 needs no census
+    assert find_chorded_decrease_witness(2, [4], [0, 1]) is None
+
+
 def test_chorded_witness_and_stepwise_deletion():
     w = find_chorded_decrease_witness(2, range(4, 10), geometric_star_sizes(64))
     assert w is not None
@@ -392,6 +408,14 @@ def test_density_trend_moves_toward_two_thirds():
     report2 = density_trend(1, seq, range(20, 45))
     tail = [abs(row.sigma_added - Fraction(2, 3)) for row in report2.rows[-3:]]
     assert all(a >= b for a, b in zip(tail, tail[1:]))
+
+
+def test_density_trend_skips_a_core_too_short_for_the_chords():
+    # the sequence's core condition admits n = 20 for k = 1, but the core
+    # of length 20 - 2*9 = 2 has no fan variant
+    report = density_trend(1, StarSizeSequence(k=1), [20])
+    assert report.rows == ()
+    assert report.skipped == ((20, "1 fan chords need a core length of at least 3, not 2"),)
 
 
 def test_anchored_formula_takes_the_star_sizes_of_the_census_route():

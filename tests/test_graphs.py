@@ -122,6 +122,18 @@ def test_graph6_errors_carry_offsets():
     assert exc.value.offset == 2
 
 
+def test_graph6_long_order_padding_non_ascii_and_bytes():
+    # six-byte order field: "~~" then 6*6 bits holding n = 5
+    assert parse_graph6("~~?????D??") == Graph.of(5, [])
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("A`")  # the one edge bit, then a set padding bit
+    assert exc.value.offset == 1
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("A\u00e9")
+    assert exc.value.offset == 1
+    assert parse_graph6(b"A_") == parse_graph6("A_")
+
+
 def test_graph6_long_form_parses_but_counting_rejects():
     from subtree_census.census import subtree_stats_kirchhoff
 

@@ -284,6 +284,11 @@ def test_tree_bound_cap():
         tree_bound_sweep(SWEEP_MAX + 1)
 
 
+def test_tree_bound_needs_an_order():
+    with pytest.raises(ValueError):
+        tree_bound_sweep(0)
+
+
 # A000055: unlabeled trees on n = 1, 2, ... vertices
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
                     7741, 19320, 48629, 123867)

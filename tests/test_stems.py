@@ -127,6 +127,23 @@ def test_stem_class_identity_and_bounds():
                         assert cls.inner_edges == 0
 
 
+def test_stem_class_arguments_are_validated():
+    with pytest.raises(ValueError, match="variant must be one of"):
+        stem_count("tripartite", 3, 1)
+    with pytest.raises(ValueError, match="at least one A-vertex"):
+        stem_count("split", 0, 0)
+    with pytest.raises(ValueError, match="0 <= b <= a-1"):
+        stem_count("split", 3, 3)
+    with pytest.raises(TooLargeError):
+        stem_count("split", stems.STEM_M_MAX + 1, 0)
+    with pytest.raises(ValueError, match="exceeds the A-side size"):
+        class_size("split", 2, 5, 3, 0)
+    with pytest.raises(ValueError, match="invalid stem class"):
+        class_size("split", 4, 1, 3, 2)
+    with pytest.raises(ValueError, match="m >= 1"):
+        Bipartition(0, 1, "split")
+
+
 def test_stem_counts_variant_dominance_and_top_class():
     for a in range(1, 6):
         for b in range(0, a):
@@ -252,6 +269,11 @@ def test_graph_mean_rejects_oversize():
         graph_mean_order("split", stems.STEM_M_MAX + 1, 6)  # class grid too wide
     with pytest.raises(TooLargeError):
         graph_mean_order("split", 2, 10**7)
+
+
+def test_graph_mean_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="variant must be one of"):
+        graph_mean_order("tripartite", 3, 10)
 
 
 def test_stem_table():
