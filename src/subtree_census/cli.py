@@ -23,7 +23,13 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from . import families, search, stems
-from .census import SubtreeStats, mean, subtree_stats_kirchhoff, tree_subtree_stats
+from .census import (
+    SubtreeStats,
+    check_leaf_count,
+    mean,
+    subtree_stats_kirchhoff,
+    tree_subtree_stats,
+)
 from .errors import InvariantViolation, TooLargeError
 from .graphs import make_path, parse_graph6
 
@@ -164,6 +170,7 @@ def cmd_mu(args) -> tuple[dict, list[dict] | None]:
             raise ValueError("--k applies only to --family fan")
         if args.chords is not None and args.family != "chorded":
             raise ValueError("--chords applies only to --family chorded")
+        check_leaf_count(args.s)
         if args.family == "broom":
             cen = families.broom_census(args.L)
         elif args.family == "fan":
@@ -233,8 +240,7 @@ def cmd_threshold(args) -> tuple[dict, list[dict]]:
 
 def cmd_scan(args) -> tuple[dict, list[dict]]:
     if args.file == "-":
-        report = search.corpus_scan(sys.stdin, max_order=args.max_order,
-                                    jobs=args.jobs, source="<stdin>")
+        report = search.corpus_scan(sys.stdin, max_order=args.max_order, jobs=args.jobs)
     else:
         # surrogateescape keeps stray non-ASCII bytes as per-line parse
         # errors instead of aborting the whole scan
@@ -243,8 +249,7 @@ def cmd_scan(args) -> tuple[dict, list[dict]]:
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from None
         with fh:
-            report = search.corpus_scan(fh, max_order=args.max_order,
-                                        jobs=args.jobs, source=args.file)
+            report = search.corpus_scan(fh, max_order=args.max_order, jobs=args.jobs)
     rows = [{
         "order": inst.order,
         "graph6": inst.graph_id,
@@ -255,7 +260,8 @@ def cmd_scan(args) -> tuple[dict, list[dict]]:
     warnings += [f"line {no}: {msg}" for no, msg in report.skipped]
     record = {
         "command": "scan",
-        "parameters": {"file": report.source, "max_order": args.max_order},
+        "parameters": {"file": "<stdin>" if args.file == "-" else args.file,
+                       "max_order": args.max_order},
         "results": {
             "graphs_scanned": report.graphs_scanned,
             "instances": len(report.instances),

@@ -283,12 +283,12 @@ def anchored_family_stats(length: int, s: int, k: int) -> SubtreeStats:
     and k-th path vertices and the far hub but not the whole remaining
     spine, stars attached.
 
-    For k == 1 the spine condition degenerates; the family is, by
-    definition, the subtrees containing the hub-hub chord.
+    For k == 1 these are the subtrees through the hub-hub chord, and the
+    length-2 core, whose chord is its one path edge, is `anchor_edge_stats`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
+    if k == 1 and length == 2:
         return anchor_edge_stats(length, s)
     _check_core(length)
     core, hubs = make_fan_broom_core(length, k)

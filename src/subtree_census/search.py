@@ -10,8 +10,9 @@
   once; for k = 1 that is one pass per graph.
 * `tree_bound_sweep`: verify mu(T) >= (n+2)/3 over every labeled tree,
   with equality exactly on paths.  It runs the tree DP once per
-  isomorphism class, weighted by the class's n!/|Aut T| labelings; the
-  labeled Prüfer sweep `_sweep_range` survives as its test oracle.
+  isomorphism class, weighted by the class's n!/|Aut T| labelings.  Its
+  test oracle is the same check, `_bound_sweep`, fed every labeled tree
+  with weight 1.
 
 All comparisons are exact rationals; reports are deterministically ordered
 and independent of the worker count.
@@ -23,7 +24,7 @@ import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -31,7 +32,8 @@ from .census import added_edge_stats, compare_means, mean, subtree_stats_kirchho
 from .errors import Graph6Error, InvariantViolation, TooLargeError
 from .graphs import Edge, Graph, iter_graph6_lines
 from .limits import CORPUS_MAX, SCAN_MAX, SWEEP_MAX
-from .trees import adjacency_lists, prufer_edges, prufer_sequence, subtree_stats_of_tree
+from .trees import adjacency_lists, prufer_sequence, subtree_stats_of_tree
+from .trees import prufer_edges  # noqa: F401  (perfbench/spans.py rebinds search.prufer_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +91,6 @@ class ScanInstance(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanReport:
-    source: str
-    max_order: int
     graphs_scanned: int
     instances: tuple[ScanInstance, ...]     # sorted by (order, id, edge)
     parse_errors: tuple[tuple[int, str], ...]
@@ -108,7 +108,7 @@ def _scan_entry(item: tuple[str, Graph]) -> list[ScanInstance]:
 
 
 def corpus_scan(lines: Iterable[str], max_order: int = CORPUS_MAX,
-                jobs: int = 1, source: str = "<stream>") -> ScanReport:
+                jobs: int = 1) -> ScanReport:
     """Edge-addition scan over a graph6 stream.
 
     Malformed lines are logged with their line number and the scan
@@ -139,8 +139,7 @@ def corpus_scan(lines: Iterable[str], max_order: int = CORPUS_MAX,
     instances = sorted(
         (inst for batch in per_entry for inst in batch),
         key=lambda i: (i.order, i.graph_id, i.added))
-    return ScanReport(source, max_order, len(entries), tuple(instances),
-                      tuple(errors), tuple(skipped))
+    return ScanReport(len(entries), tuple(instances), tuple(errors), tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -233,44 +232,6 @@ def _tree_classes(n_max: int) -> Iterator[tuple[int, list[tuple[int, int]], int]
                 yield n, list(zip(parents, range(1, n))), _forest_aut((s, t), rooted.aut)
 
 
-def _sweep_range(n: int, first_symbols: tuple[int, ...]) -> tuple[int, int, int, list]:
-    """The labeled sweep, kept as the test oracle of `tree_bound_sweep`:
-    the labeled trees on n vertices whose Prüfer sequence starts with one
-    of `first_symbols` (all trees when n < 3).
-
-    Returns (checked, equalities, paths, violations).  The bound check is
-    integer-only: 3*total >= (n+2)*count, equality exactly on paths, and a
-    tree is a path exactly when its Prüfer symbols are pairwise distinct.
-    """
-    if n < 3:
-        return 1, 1, 1, []  # the single tree is a path: mu = 1 or 4/3 = (n+2)/3
-    checked = 0
-    equalities = 0
-    paths = 0
-    violations: list = []
-    bound = n + 2
-    for head in first_symbols:
-        for rest in product(range(n), repeat=n - 3):
-            seq = (head,) + rest
-            adj = adjacency_lists(n, prufer_edges(seq, n))
-            count, total = subtree_stats_of_tree(n, adj)
-            checked += 1
-            lhs = 3 * total
-            rhs = bound * count
-            is_path = len(set(seq)) == n - 2
-            if lhs < rhs:
-                violations.append((n, seq, "below bound"))
-            elif lhs == rhs:
-                equalities += 1
-                if not is_path:
-                    violations.append((n, seq, "equality off a path"))
-            if is_path:
-                paths += 1
-                if lhs != rhs:
-                    violations.append((n, seq, "path not tight"))
-    return checked, equalities, paths, violations
-
-
 def tree_bound_sweep(n_max: int) -> TreeBoundReport:
     """Check mu(T) >= (n+2)/3 on every labeled tree with at most n_max
     vertices, and that equality holds exactly on paths.
@@ -285,12 +246,21 @@ def tree_bound_sweep(n_max: int) -> TreeBoundReport:
         raise TooLargeError(f"labeled-tree sweep capped at {SWEEP_MAX} vertices")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    return _bound_sweep(n_max, ((n, edges, factorial(n) // aut)
+                                for n, edges, aut in _tree_classes(n_max)))
+
+
+def _bound_sweep(n_max: int, trees: Iterable[tuple[int, list[Edge], int]]) -> TreeBoundReport:
+    """The bound check over `(n, edges, weight)` entries, each standing for
+    `weight` labeled trees on n <= n_max vertices: one class per entry with
+    its n!/|Aut| labelings, or, as the test oracle, every labeled tree with
+    weight 1.  The check is integer-only: 3*total >= (n+2)*count, with
+    equality exactly on paths."""
     equalities = dict.fromkeys(range(1, n_max + 1), 0)
     paths = dict.fromkeys(range(1, n_max + 1), 0)
     labelings = dict.fromkeys(range(1, n_max + 1), 0)
     violations: list = []
-    for n, edges, aut in _tree_classes(n_max):
-        weight = factorial(n) // aut
+    for n, edges, weight in trees:
         labelings[n] += weight
         adj = adjacency_lists(n, edges)
         count, total = subtree_stats_of_tree(n, adj)

@@ -5,8 +5,8 @@ split variant, independent in the bipartite one) and an independent n-side
 B.  Each subtree is classified by its *stem*: the subtree induced by all of
 its A-vertices together with the B-vertices of degree at least two.  Stems
 on fixed label sets are counted in closed form by inclusion-exclusion over
-the B-vertices forced to be leaves; `iter_stem_trees` enumerates them over
-Prüfer sequences and serves only as the test oracle.  Everything else is
+the B-vertices forced to be leaves; `iter_stem_trees` filters them out of
+the labeled trees and serves only as the test oracle.  Everything else is
 closed-form in n, so n may be large while m stays moderate: grouped by the
 A-side size a, the classes make each host a sum over a of
 (a+1)**(n-a+1) times a small integer combination of the C(n, b), b < a.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -26,7 +25,7 @@ from .census import Subtree, compare_means
 from .errors import NoStemError, TooLargeError
 from .graphs import Edge, Graph, make_complete_bipartite, make_complete_split
 from .limits import STEM_ENUM_MAX, STEM_M_MAX, check_exponent
-from .trees import prufer_edges
+from .trees import iter_labeled_trees
 
 VARIANTS = ("split", "bipartite")
 
@@ -123,37 +122,19 @@ def _check_class(variant: str, a: int, b: int):
 
 
 def iter_stem_trees(variant: str, a: int, b: int) -> Iterator[tuple[Edge, ...]]:
-    """All labeled stems on A = 0..a-1 and B = a..a+b-1: spanning trees whose
-    edges respect the variant and whose B-vertices all have degree >= 2."""
+    """All labeled stems on A = 0..a-1 and B = a..a+b-1, in Prüfer order: the
+    labeled trees on a + b vertices whose edges respect the variant and
+    whose B-vertices all have degree >= 2."""
     _check_class(variant, a, b)
     if a + b > STEM_ENUM_MAX:
         raise TooLargeError(f"stem enumeration capped at {STEM_ENUM_MAX} vertices")
-    nt = a + b
-    if nt == 1:
-        yield ()
-        return
     split = variant == "split"
-    b_range = range(a, nt)
-    if nt == 2:
-        seqs: Iterable[tuple[int, ...]] = [()]
-    else:
-        seqs = product(range(nt), repeat=nt - 2)
-    for seq in seqs:
-        # degree(v) = 1 + multiplicity in the sequence, so B-degrees >= 2
-        # exactly when every B-label appears.
-        if b and not all(x in seq for x in b_range):
-            continue
-        edges = prufer_edges(seq, nt)
-        ok = True
-        for u, v in edges:
-            if u >= a:  # u,v both in B
-                ok = False
-                break
-            if v < a and not split:  # A-A edge in the bipartite variant
-                ok = False
-                break
-        if ok:
-            yield tuple(edges)
+    for edges in iter_labeled_trees(a + b):
+        # each edge is (u, v) with u < v: u >= a makes a B-B edge, v < a an A-A edge
+        if all(u < a and (split or v >= a) for u, v in edges):
+            ends = [v for _, v in edges]  # with no B-B edge, a B-vertex is always v
+            if all(ends.count(v) >= 2 for v in range(a, a + b)):
+                yield tuple(edges)
 
 
 def _host_tree_count(variant: str, a: int, b: int) -> int:
@@ -308,6 +289,7 @@ class StemTable:
 def stem_table(variant: str, m: int) -> StemTable:
     if m < 1:
         raise ValueError("need m >= 1")
+    _check_class(variant, m, 0)  # every limit the counts below check, before the first
     return StemTable(variant, m, {(a, b): stem_count(variant, a, b)
                                   for a in range(1, m + 1) for b in range(a)})
 

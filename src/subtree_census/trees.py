@@ -79,14 +79,11 @@ def prufer_sequence(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]
 
 
 def iter_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
-    """All n**(n-2) labeled trees on 0..n-1 as edge lists."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in product(range(n), repeat=n - 2):
+    """All n**(n-2) labeled trees on 0..n-1 as edge lists, in the
+    lexicographic order of their Prüfer sequences."""
+    if n < 1:
+        raise ValueError("a tree needs at least one vertex")
+    for seq in product(range(n), repeat=max(n - 2, 0)):
         yield prufer_edges(seq, n)
 
 

@@ -8,6 +8,14 @@ import pytest
 
 from subtree_census.cli import main
 from subtree_census.graphs import emit_graph6, make_cycle, make_path
+from subtree_census.limits import (
+    CENSUS_MAX,
+    CORPUS_MAX,
+    EXPONENT_CAP,
+    MAX_MATERIALIZED,
+    STEM_M_MAX,
+    SWEEP_MAX,
+)
 
 
 def run_cli(capsys, *argv):
@@ -458,3 +466,47 @@ def test_tree_bound_cayley_violation_exits_4(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "--deterministic", "tree-bound", "--n-max", "5")
     assert code == 4 and out == ""
     assert "internal error" in err and "n**(n-2)" in err
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every expensive callee a command reaches raises, so a refusal must
+    come before any work; stdin holds a graph a scan would otherwise take."""
+    from subtree_census import cli, families, search, stems
+
+    def refuse(*args):
+        raise AssertionError("work ran before the limit check")
+
+    for owner, name in ((families, "_hub_census"), (stems, "stem_count"),
+                        (search, "_tree_classes"), (search, "k_edge_scan"),
+                        (cli, "subtree_stats_kirchhoff"), (cli, "tree_subtree_stats")):
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("FXhew\n"))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("mu", "--family", "broom", "--L", str(CENSUS_MAX + 1), "--s", "0"),
+                 id="CENSUS_MAX"),
+    pytest.param(("mu", "--path", str(MAX_MATERIALIZED + 1)), id="MAX_MATERIALIZED"),
+    pytest.param(("scan", "--file", "-", "--max-order", str(CORPUS_MAX + 1)), id="CORPUS_MAX"),
+    pytest.param(("tree-bound", "--n-max", str(SWEEP_MAX + 1)), id="SWEEP_MAX"),
+    pytest.param(("threshold", "--m", str(STEM_M_MAX + 1), "--n-max", "1"),
+                 id="STEM_M_MAX-threshold"),
+    pytest.param(("stem-table", "--m", str(STEM_M_MAX + 1)), id="STEM_M_MAX-stem-table"),
+    pytest.param(("mu", "--family", "fan", "--L", "16", "--k", "14",
+                  "--s", str(EXPONENT_CAP + 1)), id="EXPONENT_CAP"),
+])
+def test_past_a_limit_exits_3_before_any_work(no_work, capsys, argv):
+    code, out, err = run_cli(capsys, "--deterministic", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_mu_family_negative_star_size_exits_2_before_any_census(no_work, capsys):
+    code, out, err = run_cli(capsys, "--deterministic", "mu", "--family", "fan",
+                             "--L", "16", "--k", "14", "--s", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: negative leaf count\n"

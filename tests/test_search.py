@@ -26,8 +26,7 @@ from subtree_census.graphs import (
 )
 from subtree_census.limits import SCAN_MAX, SWEEP_MAX
 from subtree_census.search import (
-    TreeBoundReport,
-    _sweep_range,
+    _bound_sweep,
     _tree_classes,
     corpus_scan,
     k_edge_scan,
@@ -295,14 +294,10 @@ FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
 
 
 def test_tree_bound_classes_match_labeled_sweep():
-    parts = {n: _sweep_range(n, tuple(range(n))) for n in range(1, 9)}
+    # the same check fed every labeled tree once instead of one tree per class
     for n_max in range(1, 9):
-        orders = range(1, n_max + 1)
-        violations = tuple(v for n in orders for v in parts[n][3])
-        oracle = TreeBoundReport(n_max, sum(parts[n][0] for n in orders),
-                                 {n: parts[n][1] for n in orders},
-                                 {n: parts[n][2] for n in orders},
-                                 violations, not violations)
+        oracle = _bound_sweep(n_max, ((n, edges, 1) for n in range(1, n_max + 1)
+                                      for edges in iter_labeled_trees(n)))
         assert tree_bound_sweep(n_max) == oracle
     assert oracle.trees_checked == 280393 and oracle.passed
 
