@@ -5,10 +5,12 @@ graph does not.  Three routes to the same numbers:
 
 * `subtree_stats_bruteforce` - every vertex subset, spanning trees listed
   explicitly by edge backtracking.
-* `subtree_stats_kirchhoff` - connected vertex subsets enumerated by
-  recursive extension, spanning trees counted by an integer determinant.
-  A subset has as many spanning trees as its 2-core (what is left after
-  stripping degree-1 vertices), so the determinant is memoised per core.
+* `subtree_stats_kirchhoff` - pendant trees folded, as in the tree DP, into
+  (count, total order) pairs at the vertices they hang from; then the
+  connected subsets of the leafless rest, enumerated by recursive
+  extension, spanning trees counted by an integer determinant.  A subset
+  has as many spanning trees as its 2-core (what is left after stripping
+  degree-1 vertices), so the determinant is memoised per core.
 * `tree_subtree_stats` - linear rooted dynamic program, trees only.
 
 `added_edge_stats` gives stats(G) and, for every non-edge e of G, the
@@ -292,8 +294,50 @@ def _census_cells(g: Graph, mark_mask: int = 0, tracked: Sequence[Edge] = (),
 
 
 def subtree_stats_kirchhoff(g: Graph) -> SubtreeStats:
-    """Sum spanning-tree counts over all connected vertex subsets."""
-    return SubtreeStats(*_census_cells(g)[0])
+    """Sum spanning-tree counts over the connected subsets of g's core, the
+    graph left after deleting degree-1 vertices until none is left.
+
+    Each deleted vertex v folds into its neighbour p by the tree DP's rule
+    (Jamison 1983; `trees.subtree_stats_of_tree`): f[v] and t[v] count and
+    sum the subtrees whose vertex nearest the core is v.  A core subset S
+    with tau spanning trees then stands for tau * prod_{v in S} f[v]
+    subtrees, of total order tau * (|S| A + B) with A = prod f[v] and
+    B = sum_v (t[v] - f[v]) prod_{u != v} f[u].  Vertices with f[v] != 1
+    are marked, so one cell of `_census_cells` shares A and B.
+    """
+    n = g.order
+    if n > CENSUS_MAX:
+        raise TooLargeError(f"census capped at {CENSUS_MAX} vertices")
+    adj = list(g.adjacency)
+    f, t = [1] * n, [1] * n
+    count = total = gone = 0
+    leaves = [v for v in range(n) if adj[v].bit_count() == 1]
+    while leaves:
+        v = leaves.pop()
+        if adj[v].bit_count() != 1:  # its last neighbour left first
+            continue
+        p = adj[v].bit_length() - 1
+        adj[p] ^= 1 << v
+        gone |= 1 << v
+        count += f[v]
+        total += t[v]
+        t[p] = t[p] * (f[v] + 1) + f[p] * t[v]
+        f[p] *= f[v] + 1
+        if adj[p].bit_count() == 1:
+            leaves.append(p)
+    keep = [v for v in range(n) if not gone >> v & 1]
+    index = {v: i for i, v in enumerate(keep)}
+    core = Graph.of(len(keep), [(index[u], index[v]) for u, v in g.edges
+                                if u in index and v in index])
+    marks = sum(1 << i for i, v in enumerate(keep) if f[v] != 1)
+    for key, (c, s) in _census_cells(core, marks).items():
+        a, b = 1, 0
+        for i in _mask_vertices(key):
+            v = keep[i]
+            a, b = a * f[v], b * f[v] + a * (t[v] - f[v])
+        count += c * a
+        total += s * a + c * b
+    return SubtreeStats(count, total)
 
 
 def through_edge_stats(g: Graph, u: int, v: int) -> SubtreeStats:

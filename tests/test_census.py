@@ -465,9 +465,24 @@ def _two_core(g, vs):
     return frozenset(core) if len(core) > 2 else frozenset({min(vs)})
 
 
+def _stripped(g):
+    """g less its degree-1 vertices, deleted until none is left, relabelled
+    in order; for graphs with a cycle in every component."""
+    keep = set(range(g.order))
+    while True:
+        leaves = {v for v in keep if sum(v in e and set(e) <= keep for e in g.edges) == 1}
+        if not leaves:
+            break
+        keep -= leaves
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    return Graph.of(len(keep), [(index[u], index[v]) for u, v in g.edges
+                                if u in index and v in index])
+
+
 def test_one_determinant_per_distinct_core(monkeypatch):
     # subsets that are their own core get a determinant each; all others
-    # share one per distinct core, in the plain and the tracked census alike
+    # share one per distinct core, in the tracked census and in the plain
+    # census of the graph left after its pendant trees fold away
     from subtree_census import census
     from subtree_census.graphs import make_fan_broom
 
@@ -479,16 +494,19 @@ def test_one_determinant_per_distinct_core(monkeypatch):
     fan = make_fan_broom(6, 3, 2)
     hubs, chords = {0, 5}, [(0, 5), (1, 5)]
     leafy = _leafy_graph(rng, make_cycle(5), 12)
-    for g, same in ((fan, lambda: subtree_stats_kirchhoff(fan) == subtree_stats_bruteforce(fan)),
-                    (fan, lambda: marked_census(fan, hubs, chords).table
-                     == marked_census_bruteforce(fan, hubs, chords).table),
-                    (leafy, lambda: subtree_stats_kirchhoff(leafy) == subtree_stats_bruteforce(leafy))):
+    for g, censused, same in (
+            (fan, _stripped(fan), lambda: subtree_stats_kirchhoff(fan) == subtree_stats_bruteforce(fan)),
+            (fan, fan, lambda: marked_census(fan, hubs, chords).table
+             == marked_census_bruteforce(fan, hubs, chords).table),
+            (leafy, _stripped(leafy),
+             lambda: subtree_stats_kirchhoff(leafy) == subtree_stats_bruteforce(leafy))):
         calls.clear()
         assert same()
-        cores = {vs: _two_core(g, vs) for vs in iter_connected_subsets(g)}
+        cores = {vs: _two_core(censused, vs) for vs in iter_connected_subsets(censused)}
         own = sum(1 for vs, core in cores.items() if vs == core)
         shared = {core for vs, core in cores.items() if vs != core}
-        assert len(calls) == own + len(shared) < len(cores) // 10
+        subsets = sum(1 for _ in iter_connected_subsets(g))
+        assert len(calls) == own + len(shared) < subsets // 10
 
 
 def test_tracked_polynomial_out_of_range_raises(monkeypatch):
@@ -502,11 +520,70 @@ def test_tracked_polynomial_out_of_range_raises(monkeypatch):
 
 
 def test_tree_census_matches_tree_dp_above_bruteforce_size():
+    # random recursive trees, then the path, the star and uniform (Pruefer)
+    # labeled trees at the census cap
+    from subtree_census.trees import prufer_edges
+
     rng = random.Random(609)
-    for order in range(13, 23):
-        for _ in range(3):
-            t = random_tree(rng, order)
-            assert subtree_stats_kirchhoff(t) == tree_subtree_stats(t)
+    trees = [random_tree(rng, order) for order in range(13, 23) for _ in range(3)]
+    trees += [make_path(22), make_star(21)]
+    trees += [Graph.of(22, prufer_edges([rng.randrange(22) for _ in range(20)], 22))
+              for _ in range(5)]
+    for t in trees:
+        assert subtree_stats_kirchhoff(t) == tree_subtree_stats(t)
+
+
+# ---------------------------------------------------------------------------
+# Pendant-tree fold: `subtree_stats_kirchhoff` censuses only what is left
+# after degree-1 vertices are deleted, with each pendant tree folded into
+# the vertex it hangs from.  `_unfolded` is the census of every connected
+# subset, leaf subsets included.
+
+def _unfolded(g):
+    from subtree_census import census
+
+    return SubtreeStats(*census._census_cells(g)[0])
+
+
+def test_fold_matches_bruteforce_on_every_small_graph():
+    # 1,099 labeled graphs, edgeless and disconnected ones included
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.of(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            assert subtree_stats_kirchhoff(g) == subtree_stats_bruteforce(g)
+            checked += 1
+    assert checked == 1099
+
+
+def test_fold_matches_unfolded_census_on_leafy_graphs():
+    rng = random.Random(611)
+    for core in LEAFY_CORES:
+        for order in (14, 16, 18):
+            g = _leafy_graph(rng, core, order)
+            assert subtree_stats_kirchhoff(g) == _unfolded(g)
+
+
+def test_fold_matches_unfolded_census_on_criterion_06_fan_brooms():
+    # the first witnesses of criterion 06 for k = 1, 2, 3, of orders 19-21,
+    # whose third re-check now runs through the fold
+    from subtree_census.graphs import make_fan_broom
+
+    for length, s, k in ((3, 8, 1), (4, 8, 2), (5, 8, 3)):
+        g = make_fan_broom(length, s, k)
+        assert subtree_stats_kirchhoff(g) == _unfolded(g)
+
+
+@pytest.mark.parametrize("length, s, k", [
+    (2, 8, 0), (4, 7, 1), (4, 7, 2), (6, 6, 1), (6, 6, 2),
+    (8, 5, 1), (8, 5, 2), (4, 7, 0), (10, 4, 3)])
+def test_fold_matches_fan_broom_star_algebra(length, s, k):
+    # every order-18 broom that the broom-census benchmark picks from
+    from subtree_census.families import fan_broom_stats
+    from subtree_census.graphs import make_fan_broom
+
+    assert subtree_stats_kirchhoff(make_fan_broom(length, s, k)) == fan_broom_stats(length, s, k)
 
 
 # ---------------------------------------------------------------------------

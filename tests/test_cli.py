@@ -90,6 +90,32 @@ def test_mu_tree_above_census_cap_uses_tree_dp(capsys):
         assert rec["results"]["order"] == "30"
 
 
+def test_mu_graph6_at_the_census_cap(monkeypatch, capsys):
+    # the order-22 fan broom (6, 8, 2) as a materialized graph gives the
+    # hub census's mean; an order-23 graph with a cycle exits 3 before any
+    # census
+    from subtree_census import census
+
+    fan = "UhFKCA?_C?O?_?_??_?G?@??C??G??G??C??@???"
+    code, out, _ = run_cli(capsys, "--deterministic", "mu", "--graph6", fan)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["mu"] == "15223570/1182221" and res["order"] == "22"
+    code, out, _ = run_cli(capsys, "--deterministic", "mu",
+                           "--family", "fan", "--L", "6", "--s", "8", "--k", "2")
+    assert code == 0 and json.loads(out)["results"] == res
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("census ran past the cap")
+
+    monkeypatch.setattr(census, "_census_cells", refuse)
+    code, out, err = run_cli(capsys, "--deterministic", "mu", "--graph6",
+                             "VhCMKA?_C?O?_?_?O??C??_?A??C??C??A???_??C???")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_code_bad_params(capsys):
     code, _, _ = run_cli(capsys, "mu", "--family", "fan", "--L", "3", "--s", "1", "--k", "5")
     assert code == 2
