@@ -208,28 +208,22 @@ def cmd_decrease(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_threshold(args) -> tuple[dict, list[dict]]:
-    comparisons, rows, crossing = [], [], None
-    for point in stems.mean_sweep(args.m, args.n_max):
-        sign = point.sign
-        comparisons.append((point.n, sign))
-        if crossing is None and sign < 0:
-            crossing = point
-        if args.full_table:
-            rows.append({
-                "n": point.n,
-                "sign": sign,
-                **_rat_fields(mu_split=point.mean("split"),
-                              mu_bipartite=point.mean("bipartite")),
-            })
-    report = stems.ThresholdReport.from_comparisons(args.m, args.n_max, comparisons)
+    if args.full_table:  # every n needs its means, so the sweep covers every n
+        points = list(stems.mean_sweep(args.m, args.n_max))
+        report = stems.ThresholdReport.from_points(args.m, args.n_max, points)
+        rows = [{"n": p.n, "sign": sign,
+                 **_rat_fields(mu_split=p.mean("split"), mu_bipartite=p.mean("bipartite"))}
+                for p, (_, sign) in zip(points, report.comparisons)]
+    else:
+        report, rows = stems.threshold_search(args.m, args.n_max), []
     results = {
         "n_star": report.n_star if report.n_star is not None else "no crossing",
         "persists": report.persists,
         "first_violation": report.first_violation,
     }
-    if crossing is not None:
-        results["mu_split_at_n_star"] = _rat(crossing.mean("split"))
-        results["mu_bipartite_at_n_star"] = _rat(crossing.mean("bipartite"))
+    if report.crossing is not None:
+        results["mu_split_at_n_star"] = _rat(report.crossing.mean("split"))
+        results["mu_bipartite_at_n_star"] = _rat(report.crossing.mean("bipartite"))
     record = {
         "command": "threshold",
         "parameters": {"m": args.m, "n_max": args.n_max},
@@ -309,8 +303,9 @@ def cmd_stem_table(args) -> tuple[dict, list[dict]]:
             # a stem needs b B-vertices, so a host with fewer has no such subtree
             row.update(class_size_split="0", class_size_bipartite="0", class_mean="")
         elif args.n is not None:
-            row["class_size_split"] = _int_str(stems.class_size("split", args.m, args.n, a, b))
-            row["class_size_bipartite"] = _int_str(stems.class_size("bipartite", args.m, args.n, a, b))
+            for table in (table_split, table_bip):
+                row[f"class_size_{table.variant}"] = _int_str(stems.class_size(
+                    table.variant, args.m, args.n, a, b, table.entries[(a, b)]))
             row["class_mean"] = _rat(stems.class_mean_order(args.n, a, b))
         rows.append(row)
     record = {

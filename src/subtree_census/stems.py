@@ -10,6 +10,8 @@ the labeled trees and serves only as the test oracle.  Everything else is
 closed-form in n, so n may be large while m stays moderate: grouped by the
 A-side size a, the classes make each host a sum over a of
 (a+1)**(n-a+1) times a small integer combination of the C(n, b), b < a.
+From n = m-1 on, that sum is an exponential polynomial in n: the threshold
+search sweeps up to the N(m) beyond which `_tail_certificate` proves the sign.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -168,13 +172,15 @@ def extension_count(a: int, b: int, n: int) -> int:
     return (a + 1) ** (n - b)
 
 
-def class_size(variant: str, m: int, n: int, a: int, b: int) -> int:
-    """Number of host subtrees whose stem has class (a, b)."""
+def class_size(variant: str, m: int, n: int, a: int, b: int, count: int | None = None) -> int:
+    """Number of host subtrees whose stem has class (a, b); `count` is
+    stem_count(variant, a, b) when the caller holds it already."""
     if a > m:
         raise ValueError("a exceeds the A-side size")
     if b > min(a - 1, n):
         raise ValueError("invalid stem class")
-    return comb(m, a) * comb(n, b) * stem_count(variant, a, b) * extension_count(a, b, n)
+    count = stem_count(variant, a, b) if count is None else count
+    return comb(m, a) * comb(n, b) * count * extension_count(a, b, n)
 
 
 def class_mean_order(n: int, a: int, b: int) -> Fraction:
@@ -256,27 +262,34 @@ class SweepPoint(NamedTuple):
         return Fraction(total, self.lcm * count)
 
 
-def mean_sweep(m: int, n_max: int) -> Iterator[SweepPoint]:
-    """Both hosts for n = 1..n_max in one incremental pass of exact integers.
-
-    Per n, C(n, b) moves by Pascal's rule and each P_a = (a+1)**(n-a+1) by
-    one factor a+1, both shared by the hosts; each host then costs 2m
-    big-integer products, and stem counts are looked up once.  Limits are
-    checked against n_max first, so an out-of-reach sweep fails before it
-    starts; m is checked even when the sweep is empty, then n_max >= 0.
-    """
+def _sweep_rows(m: int, n_max: int) -> tuple[int, list, list]:
+    """(lcm, split rows, bipartite rows) once n_max passes every limit, so a sweep
+    out of reach fails before it starts; m first, even for an empty sweep."""
     _check_grid(m, max(n_max, 1))
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     lcm = math.lcm(*range(1, m + 2))
-    split, bip = _a_rows("split", m, lcm), _a_rows("bipartite", m, lcm)
-    binom = [1] + [0] * (m - 1)
-    powers = [1] * m
+    return lcm, _a_rows("split", m, lcm), _a_rows("bipartite", m, lcm)
+
+
+def _sweep(lcm: int, split, bip, n_max: int) -> Iterator[SweepPoint]:
+    binom = [1] + [0] * (len(split) - 1)
+    powers = [1] * len(split)
     for n in range(1, n_max + 1):
         binom[1:] = [x + y for x, y in zip(binom, binom[1:])]
         powers[:n] = [p * (i + 2) for i, p in enumerate(powers[:n])]
         yield SweepPoint(n, lcm, _host_at(split, binom, powers, n, lcm),
                          _host_at(bip, binom, powers, n, lcm))
+
+
+def mean_sweep(m: int, n_max: int) -> Iterator[SweepPoint]:
+    """Both hosts for n = 1..n_max in one incremental pass of exact integers.
+
+    Per n, C(n, b) moves by Pascal's rule and each P_a = (a+1)**(n-a+1) by
+    one factor a+1, both shared by the hosts; each host then costs 2m
+    big-integer products, and stem counts are looked up once.
+    """
+    return _sweep(*_sweep_rows(m, n_max), n_max)
 
 
 @dataclass(frozen=True)
@@ -295,6 +308,87 @@ def stem_table(variant: str, m: int) -> StemTable:
 
 
 # ---------------------------------------------------------------------------
+# Tail certificate: from n = m-1 on, each host is an exponential polynomial in n
+
+def _poly_add(*ps: list[int]) -> list[int]:
+    return [sum(cs) for cs in zip_longest(*ps, fillvalue=0)]
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_at(p: list[int], x: int) -> int:
+    return reduce(lambda acc, c: acc * x + c, reversed(p), 0)
+
+
+def _exp_terms(rows, lcm: int) -> list[tuple[int, list[int], list[int]]]:
+    """(B, gamma, delta) per base B = 1..m+1: for n >= m-1 the host has
+    K * count = sum of B**n * gamma(n) and K * lcm * total = sum of
+    B**n * delta(n), integer coefficients low degree first, with one
+    K = (m-1)! * lcm of every (a+1)**(a-1) > 0 shared by both hosts."""
+    m = len(rows)
+    binom = [[math.factorial(m - 1)]]  # (m-1)! * C(x, b), b = 0..m-1
+    for b in range(1, m):
+        binom.append([c // b for c in _poly_mul(binom[-1], [1 - b, 1])])
+    scale = math.lcm(*((a + 1) ** (a - 1) for a in range(1, m + 1)))
+    k = binom[0][0] * scale
+    terms = [(1, [0, k], [0, k * lcm])]  # the n single B-vertex subtrees
+    for a, (f, alpha, beta) in enumerate(rows, 1):
+        u = scale // (a + 1) ** (a - 1)
+        gamma, delta = ([u * c for c in _poly_add(*([w * c for c in binom[b]]
+                                                   for b, w in enumerate(ws)))]
+                        for ws in (alpha, beta))
+        delta = _poly_add([0] + [f * c for c in gamma], delta)
+        terms.append((a + 1, gamma, delta))
+    return terms
+
+
+def _certificate_polys(split, bip, lcm: int) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """(H, S): D(n) = T_s * C_b - T_b * C_s in `_exp_terms`' scale is (m+1)**(2n) * H(n),
+    from the top terms, plus terms bounded by (m(m+1))**n * S(n); S sums p * q over the
+    returned pairs top * rest, rest * top and rest * rest, each with coefficients >= 0."""
+    hosts = [_exp_terms(rows, lcm) for rows in (split, bip)]
+    (_, gs, ds), (_, gb, db) = hosts[0][-1], hosts[1][-1]
+    h = _poly_add(_poly_mul(ds, gb), [-c for c in _poly_mul(db, gs)])
+    (rgs, rds), (rgb, rdb) = ([_poly_add(*([abs(c) for c in term[i]] for term in terms[:-1]))
+                               for i in (1, 2)] for terms in hosts)
+    gs, ds, gb, db = ([abs(c) for c in p] for p in (gs, ds, gb, db))
+    return h, [(ds, rgb), (rds, gb), (rds, rgb), (db, rgs), (rdb, gs), (rdb, rgs)]
+
+
+def _tail_certificate(m: int, n_max: int, split, bip, lcm: int) -> tuple[int, int] | None:
+    """(N, sign) with sign(mu(split) - mu(bipartite)) = sign for every n >= N,
+    or None when no N <= n_max is proved, by exact integer tests alone.
+
+    With H and S from `_certificate_polys`, holds(n): H(n) < 0 and
+    (m+1)**n * |H(n)| > m**n * S(n), gives D(n) < 0.  From the first n1 >= m-1
+    with m * (n1+1)**d <= (m+1) * n1**d, d >= deg S, S grows by at most
+    (m+1)/m per step; when H(n1 + x) has coefficients of one sign, |H| does
+    not shrink, so holds(N) for one N >= n1 gives holds(n) for all n >= N.
+    """
+    if split == bip:  # m = 1: the two hosts are one graph
+        return (1, 0) if n_max else None
+    d = m + max(m - 2, 1)  # deg S, from the degrees m-1 of gamma and m of delta
+    start = next((n for n in range(max(m - 1, 1), n_max + 1)
+                  if m * (n + 1) ** d <= (m + 1) * n ** d), None)
+    if start is None:
+        return None
+    h, s = _certificate_polys(split, bip, lcm)
+    shifted = reduce(lambda acc, c: _poly_add(_poly_mul(acc, [start, 1]), [c]), reversed(h), [0])
+    if max(len(p) + len(q) - 2 for p, q in s) > d or min(shifted) < 0 < max(shifted):
+        return None
+    holds = (n for n in range(start, n_max + 1) if (hn := _poly_at(h, n)) < 0
+             and abs(hn) * (m + 1) ** n > sum(_poly_at(p, n) * _poly_at(q, n) for p, q in s) * m ** n)
+    n_cert = next(holds, None)
+    return None if n_cert is None else (n_cert, -1)
+
+
+# ---------------------------------------------------------------------------
 # Threshold search: first n where the split mean drops below the bipartite one
 
 @dataclass(frozen=True)
@@ -305,23 +399,34 @@ class ThresholdReport:
     persists: bool              # strict inequality held for all n_star..n_max
     first_violation: int | None
     comparisons: tuple[tuple[int, int], ...]  # (n, sign(mu_split - mu_bip))
+    certified_from: int | None  # N: the sweep stops there, the certificate holds on
+    crossing: SweepPoint | None  # both hosts at n_star
 
     @classmethod
-    def from_comparisons(cls, m: int, n_max: int,
-                         comparisons: Iterable[tuple[int, int]]) -> "ThresholdReport":
-        """Ties count as "no crossing at this n"; after the first crossing,
-        the first n where the inequality fails again is the violation."""
-        comparisons = tuple(comparisons)
-        n_star = next((n for n, sign in comparisons if sign < 0), None)
-        first_violation = None
-        if n_star is not None:
-            first_violation = next((n for n, sign in comparisons
-                                    if n > n_star and sign >= 0), None)
-        persists = n_star is not None and first_violation is None
-        return cls(m, n_max, n_star, persists, first_violation, comparisons)
+    def from_points(cls, m: int, n_max: int, points: Iterable[SweepPoint],
+                    certified_from: int | None = None, tail_sign: int = 0) -> "ThresholdReport":
+        """Signs of the points at n = 1, 2, ..., then `tail_sign` up to n_max.
+        Ties count as "no crossing at this n"; after the first crossing, the
+        first n where the inequality fails again is the violation."""
+        comparisons, crossing = [], None
+        for p in points:
+            sign = p.sign
+            comparisons.append((p.n, sign))
+            if crossing is None and sign < 0:
+                crossing = p
+        comparisons += ((n, tail_sign) for n in range(len(comparisons) + 1, n_max + 1))
+        n_star = crossing.n if crossing else None
+        first_violation = next((n for n, sign in comparisons
+                                if n_star is not None and n > n_star and sign >= 0), None)
+        return cls(m, n_max, n_star, n_star is not None and first_violation is None,
+                   first_violation, tuple(comparisons), certified_from, crossing)
 
 
 def threshold_search(m: int, n_max: int) -> ThresholdReport:
-    """Compare the two variants exactly for every n up to n_max."""
-    return ThresholdReport.from_comparisons(
-        m, n_max, ((p.n, p.sign) for p in mean_sweep(m, n_max)))
+    """Compare the two variants exactly for every n up to n_max: the exact
+    sweep stops at the N of `_tail_certificate`, if any, and every n above
+    it takes the sign proved for all n >= N."""
+    lcm, split, bip = _sweep_rows(m, n_max)
+    n_cert, tail_sign = _tail_certificate(m, n_max, split, bip, lcm) or (None, 0)
+    return ThresholdReport.from_points(m, n_max, _sweep(lcm, split, bip, n_cert or n_max),
+                                       n_cert, tail_sign)

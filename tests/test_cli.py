@@ -227,6 +227,46 @@ def test_threshold_and_stem_table_cli_m6(capsys):
     assert json.loads(out)["results"]["classes"] == 21
 
 
+_N_MAX_AT_CAP = EXPONENT_CAP // 3  # (a+1)**n has n * bits(5) bits at m = 4
+
+
+@pytest.mark.parametrize("m,n_max,want", [
+    *((m, n_max, 2 if m < 1 or n_max < 0 else 0)
+      for m in (-1, 0, 1, STEM_M_MAX) for n_max in (-1, 0, 1)),
+    *((STEM_M_MAX + 1, n_max, 3) for n_max in (-1, 0, 1)),
+    (4, _N_MAX_AT_CAP, 0), (4, _N_MAX_AT_CAP + 1, 3), (4, 10**30, 3),
+])
+def test_threshold_cli_contract(monkeypatch, capsys, m, n_max, want):
+    """Exit 0, 2 or 3 without a traceback, stdout empty unless 0; a limit
+    exits 3 before the first sweep step; the largest n_max under the
+    exponent cap certifies its tail instead of sweeping 350k steps."""
+    from subtree_census import stems
+
+    def refuse(*args):
+        raise AssertionError("sweep step before the limit check")
+    if want == 3:
+        monkeypatch.setattr(stems, "_host_at", refuse)
+    code, out, err = run_cli(capsys, "--deterministic", "threshold",
+                             "--m", str(m), "--n-max", str(n_max))
+    assert code == want
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
+    elif n_max == _N_MAX_AT_CAP:
+        assert json.loads(out)["results"]["persists"] is True
+
+
+def test_stem_table_counts_each_class_once(monkeypatch, capsys):
+    from subtree_census import stems
+    calls = []
+    stem_count = stems.stem_count
+    monkeypatch.setattr(stems, "stem_count",
+                        lambda *args: calls.append(args) or stem_count(*args))
+    code, out, _ = run_cli(capsys, "--deterministic", "stem-table", "--m", "8", "--n", "100")
+    assert code == 0 and json.loads(out)["results"]["classes"] == 36
+    assert len(calls) == 72
+
+
 def test_scan_cli_with_warnings_exits_zero(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("A_\n!!bad\nBW\n")

@@ -458,3 +458,121 @@ def test_graph_mean_matches_sweep_at_m64():
     for n in (1, 62, 63, 64, 200):
         for variant in ("split", "bipartite"):
             assert graph_mean_order(variant, 64, n) == points[n].mean(variant)
+
+
+# ---------------------------------------------------------------------------
+# The tail certificate against the exact sweep
+
+def _exp_host_at(terms, n):
+    """(K * lcm * total, K * count) of one host, summed over its bases."""
+    return (sum(base ** n * stems._poly_at(delta, n) for base, _, delta in terms),
+            sum(base ** n * stems._poly_at(gamma, n) for base, gamma, _ in terms))
+
+
+def _abs(poly):
+    return [abs(c) for c in poly]
+
+
+def _certificate_parts(m):
+    lcm, split, bip = stems._sweep_rows(m, 1)
+    cert = stems._tail_certificate(m, 10**4, split, bip, lcm)
+    return lcm, split, bip, cert
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_certificate_polynomials_match_the_sweep(m):
+    """The exponential polynomial of each host equals the sweep's exact
+    integers, and D splits into (m+1)**(2n) * H plus the term grid that S
+    sums with absolute coefficients, at n = m-1..m+3, N and N + 100."""
+    lcm, split, bip, (n_cert, sign) = _certificate_parts(m)
+    assert sign == -1
+    hosts = [stems._exp_terms(rows, lcm) for rows in (split, bip)]
+    k = hosts[0][0][1][1]  # the base-1 count term is K * n
+    h, s = stems._certificate_polys(split, bip, lcm)
+    points = {p.n: p for p in mean_sweep(m, n_cert + 100)}
+    for n in [*range(m - 1, m + 4), n_cert, n_cert + 100]:
+        (ts, cs), (tb, cb) = (_exp_host_at(terms, n) for terms in hosts)
+        p = points[n]
+        assert (ts, cs, tb, cb) == (k * p.split[0], k * p.split[1],
+                                    k * p.bipartite[0], k * p.bipartite[1])
+        d = ts * cb - tb * cs
+        assert d == k * k * (p.split[0] * p.bipartite[1] - p.bipartite[0] * p.split[1])
+        assert (d > 0) - (d < 0) == p.sign
+        # the grid oracle: every pair of terms but top * top, over its base
+        at = stems._poly_at
+        rest = bound = 0
+        for (b1, _, ds_i), (_, _, db_i) in zip(*hosts):
+            for (b2, gs_j, _), (_, gb_j, _) in zip(*hosts):
+                if b1 == b2 == m + 1:
+                    continue
+                rest += (b1 * b2) ** n * (at(ds_i, n) * at(gb_j, n) - at(db_i, n) * at(gs_j, n))
+                bound += (at(_abs(ds_i), n) * at(_abs(gb_j), n)
+                          + at(_abs(db_i), n) * at(_abs(gs_j), n))
+        assert d == (m + 1) ** (2 * n) * at(h, n) + rest
+        assert sum(at(p_, n) * at(q, n) for p_, q in s) == bound
+        assert abs(rest) <= (m * (m + 1)) ** n * bound
+
+
+def test_certificate_thresholds():
+    """N(m) against its induction start n1(m), the smallest n with
+    m * (n+1)**d <= (m+1) * n**d at d = deg S = m + max(m-2, 1)."""
+    got = {}
+    for m in (2, 3, 4, 5, 6, 8, 10, 16):
+        d = m + max(m - 2, 1)
+        n1 = next(n for n in range(1, 10**4) if m * (n + 1) ** d <= (m + 1) * n ** d)
+        n_cert, _ = _certificate_parts(m)[3]
+        assert n_cert >= n1
+        got[m] = (n1, n_cert)
+    assert got == {2: (7, 20), 3: (14, 21), 4: (27, 27), 5: (44, 44), 6: (65, 65),
+                   8: (119, 119), 10: (189, 189), 16: (495, 495)}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_threshold_certifies_its_tail(m):
+    rep = threshold_search(m, 2000)
+    assert rep.certified_from == _certificate_parts(m)[3][0]
+    assert all(sign == -1 for n, sign in rep.comparisons if n >= rep.certified_from)
+
+
+def test_threshold_certifies_ties_for_m1():
+    rep = threshold_search(1, 2000)
+    assert rep.certified_from == 1
+    assert {sign for _, sign in rep.comparisons} == {0}
+
+
+def test_certificate_refuses_a_positive_tail():
+    """With the hosts swapped, D > 0 for large n: only the H < 0 check
+    stands between that and a certified negative tail."""
+    for m in (2, 3, 6):
+        lcm, split, bip, _ = _certificate_parts(m)
+        assert stems._tail_certificate(m, 10**4, bip, split, lcm) is None
+        assert {p.n: p.sign for p in mean_sweep(m, 300)}[300] == -1  # swapped: +1
+
+
+def test_threshold_without_certificate_is_the_exact_sweep(monkeypatch):
+    certified = {m: threshold_search(m, 600) for m in range(1, 7)}
+    monkeypatch.setattr(stems, "_tail_certificate", lambda *args: None)
+    for m, rep in certified.items():
+        swept = threshold_search(m, 600)
+        assert swept.certified_from is None
+        assert swept.comparisons == tuple((p.n, p.sign) for p in mean_sweep(m, 600))
+        assert (swept.comparisons, swept.n_star, swept.persists, swept.first_violation) == (
+            rep.comparisons, rep.n_star, rep.persists, rep.first_violation)
+
+
+def test_threshold_sweeps_only_below_the_certificate(monkeypatch):
+    calls = []
+    host_at = stems._host_at
+    monkeypatch.setattr(stems, "_host_at", lambda *args: calls.append(args[3]) or host_at(*args))
+    rep = threshold_search(4, 6000)
+    assert rep.certified_from == 27 and rep.n_star == 6 and rep.persists
+    assert len(calls) == 2 * 27 and max(calls) == 27
+    assert len(rep.comparisons) == 6000
+
+
+def test_threshold_below_the_induction_start_builds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("certificate built below its induction start")
+    monkeypatch.setattr(stems, "_certificate_polys", refuse)
+    rep = threshold_search(64, 200)
+    assert rep.n_star == 67 and rep.certified_from is None
